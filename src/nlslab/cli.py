@@ -18,6 +18,7 @@ from .harness import (
     ExperimentConfig,
     parse_config,
     parse_method,
+    parse_value,
     run_scenario,
     write_scenario,
 )
@@ -50,13 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _number(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -68,11 +62,11 @@ def main(argv=None) -> int:
         if args.method:
             cfg = replace(cfg, methods=(parse_method(args.method),))
         if args.dt:
-            cfg = replace(cfg, dt=_number(args.dt), dts=())
+            cfg = replace(cfg, dt=parse_value("dt", args.dt)[1], dts=())
         if args.m:
             cfg = replace(cfg, m=args.m)
         if args.T:
-            cfg = replace(cfg, T=_number(args.T))
+            cfg = replace(cfg, T=parse_value("T", args.T)[1])
         if args.out:
             cfg = replace(cfg, out=str(args.out))
         if args.format:

@@ -11,6 +11,13 @@ Two boundary variants exist.  The natural variant carries trapezoid weights
 periodic variant wraps the end rows and has unit weights.  Each variant's
 gradients are matched to its own operator so the semi-discrete conservation
 identities hold to rounding.
+
+The assembled matrices here are the reference definition of the scheme:
+the tests and the semi-discrete conservation checks use them.  Periodic
+runs step the stiff term as the Fourier multiplier
+:func:`nlslab.spectral.fem_operator`, which equals -(a/dx^2) S in the
+complex view, so they never factor a matrix.  :class:`FemStiffPart` is the
+only stiff part for the natural-boundary variant.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .core import (
     GridState,
     InvariantFunctional,
     NumericalFailureError,
+    _second_difference,
     as_real_pairs,
     discrete_energy,
     discrete_mass,
@@ -69,7 +77,6 @@ class FemOperator:
     a: float
     s_matrix: sp.csr_matrix
     itilde: np.ndarray
-    factorization_count: int = 0
 
     def rhs_pairs(self, z: np.ndarray) -> np.ndarray:
         """Semi-discrete right-hand side in the real-pairs view."""
@@ -128,7 +135,6 @@ def stage_factorize(op: FemOperator, mu: float) -> StageFactorization:
         lu = splu(shifted.tocsc())
     except RuntimeError as exc:
         raise NumericalFailureError(f"stage factorization failed: {exc}") from exc
-    op.factorization_count += 1
     return StageFactorization(op, mu, lu)
 
 
@@ -154,20 +160,9 @@ def grad_energy(op: FemOperator, s: GridState) -> np.ndarray:
     z = as_real_pairs(s.u)
     v = z[0::2]
     w = z[1::2]
-    m = op.m
-    out = np.empty(2 * m)
-    if op.bc == PERIODIC:
-        lap_v = np.roll(v, 1) - 2.0 * v + np.roll(v, -1)
-        lap_w = np.roll(w, 1) - 2.0 * w + np.roll(w, -1)
-    else:
-        lap_v = np.empty(m)
-        lap_w = np.empty(m)
-        lap_v[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-        lap_w[1:-1] = w[:-2] - 2.0 * w[1:-1] + w[2:]
-        lap_v[0] = v[1] - v[0]
-        lap_w[0] = w[1] - w[0]
-        lap_v[-1] = v[-2] - v[-1]
-        lap_w[-1] = w[-2] - w[-1]
+    out = np.empty(2 * op.m)
+    lap_v = _second_difference(v, op.bc)
+    lap_w = _second_difference(w, op.bc)
     mod2 = v**2 + w**2
     node_weights = op.itilde[0::2]
     out[0::2] = -(2.0 * op.a / op.dx) * lap_v - 2.0 * op.beta * op.dx * node_weights * mod2 * v
@@ -224,25 +219,13 @@ def invariant_drift_rate(op: FemOperator, s: GridState) -> tuple[float, float]:
 
 
 class FemStiffPart:
-    """Adapter exposing the stiff FEM term to the ImEx stepper.
+    """Adapter exposing the assembled stiff FEM term to the ImEx stepper.
 
-    Keeps a small cache of stage factorizations keyed by the shift mu, so an
-    ESDIRK step performs one factorization per distinct time step size.
+    Every solve factors its shifted system afresh.
     """
 
-    def __init__(self, op: FemOperator, cache_size: int = 8):
+    def __init__(self, op: FemOperator):
         self.op = op
-        self._cache: dict[float, StageFactorization] = {}
-        self._cache_size = cache_size
-
-    def _factorization(self, mu: float) -> StageFactorization:
-        fac = self._cache.get(mu)
-        if fac is None:
-            fac = stage_factorize(self.op, mu)
-            if len(self._cache) >= self._cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[mu] = fac
-        return fac
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         z = as_real_pairs(u)
@@ -250,18 +233,4 @@ class FemStiffPart:
         return from_real_pairs(out)
 
     def solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
-        return from_real_pairs(stage_solve(self._factorization(mu), as_real_pairs(rhs)))
-
-
-def fem_parts(op: FemOperator):
-    """(stiff, explicit nonlinear) pair for ImEx stepping, complex view.
-
-    In the complex view the nonlinear FEM term coincides with the pointwise
-    cubic i*beta*|u|^2*u, since the rotation block acts as multiplication
-    by -i.
-    """
-
-    def nonstiff(u: np.ndarray) -> np.ndarray:
-        return 1j * op.beta * (u.real**2 + u.imag**2) * u
-
-    return FemStiffPart(op), nonstiff
+        return from_real_pairs(stage_solve(stage_factorize(self.op, mu), as_real_pairs(rhs)))

@@ -11,6 +11,12 @@ Each scenario writes an aggregate table to the requested output path and a
 per-run JSON record (step log plus summary) per method into a sibling
 ``<stem>_runs`` directory.  Output is deterministic for a fixed config and
 seed, excluding the runtime columns.
+
+Every scenario grid is periodic, so the ``SP-``/``FEM-`` prefix only picks
+the symbol of the Fourier-multiplier stiff operator
+(:func:`nlslab.spectral.spectral_operator` or
+:func:`nlslab.spectral.fem_operator`); both discretizations then share one
+ImEx path and one (mass, energy) pair from :mod:`nlslab.core`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem as fem_mod
 from . import oracles, splitting
 from .core import (
     ConfigurationError,
@@ -44,7 +49,7 @@ from .relaxation import (
     integrate_imex,
     make_imex_stepper,
 )
-from .spectral import spectral_operator, spectral_parts
+from .spectral import fem_operator, spectral_operator, spectral_parts
 
 
 class FitError(ValueError):
@@ -208,6 +213,22 @@ _KEY_PARSERS = {
 }
 
 
+def parse_value(key: str, text: str) -> tuple[str, object]:
+    """(config attribute, parsed value) for one ``key = text`` pair.
+
+    Any failure to parse is reported as a ConfigurationError.
+    """
+    if key not in _KEY_PARSERS:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    attr, parser = _KEY_PARSERS[key]
+    try:
+        return attr, parser(text)
+    except ConfigurationError:
+        raise
+    except Exception as exc:
+        raise ConfigurationError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat key=value document into a validated config."""
     values: dict = {}
@@ -220,15 +241,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"expected key=value, got {line!r}")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key not in _KEY_PARSERS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        attr, parser = _KEY_PARSERS[key]
-        try:
-            values[attr] = parser(value)
-        except ConfigurationError:
-            raise
-        except Exception as exc:
-            raise ConfigurationError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+        attr, parsed = parse_value(key, value)
+        values[attr] = parsed
     if not values:
         raise ConfigurationError("empty configuration document")
     if "scenario" not in values:
@@ -288,12 +302,6 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> GridState:
     return state
 
 
-def _invariant_pair(problem: Problem, operator=None):
-    if operator is not None:
-        return fem_mod.conserved_functionals(operator)
-    return mass_functional(), energy_functional(problem.b, problem.a)
-
-
 def run_method(
     method: MethodSpec,
     problem: Problem,
@@ -305,22 +313,16 @@ def run_method(
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Integrate one method to time T on the given grid."""
+    make_operator = fem_operator if method.discretization == "fem" else spectral_operator
+    op = make_operator(grid, problem.a)
     if method.is_splitting:
-        op = spectral_operator(grid, problem.a)
         sch = splitting.scheme(method.family)
         return splitting.integrate_splitting(
             s0, sch, op, problem.b, dt, T, observer=observer
         )
     tab = tableau(method.family)
-    fem_op = None
-    if method.discretization == "fem":
-        fem_op = fem_mod.assemble(grid.m, grid.dx, grid.bc, beta=problem.b, a=problem.a)
-        stiff, nonstiff = fem_mod.fem_parts(fem_op)
-    else:
-        op = spectral_operator(grid, problem.a)
-        stiff, nonstiff = spectral_parts(op, problem.b)
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
-    invariants = list(_invariant_pair(problem, fem_op))
+    stepper = make_imex_stepper(tab, *spectral_parts(op, problem.b))
+    invariants = [mass_functional(), energy_functional(problem.b, problem.a)]
     if method.relaxation == "single":
         relaxer = SingleRelaxer(invariants[0], s0, tol=cfg.conservation_tol)
     elif method.relaxation == "multi":
@@ -405,10 +407,8 @@ class ErrorSampler:
         self.error_of = error_of
         self.max_samples = max_samples
         self.rows: list[tuple[float, float]] = []
-        self._seen = 0
 
     def __call__(self, state: GridState) -> None:
-        self._seen += 1
         self.rows.append((state.t, self.error_of(state)))
         if len(self.rows) > self.max_samples:
             self.rows = self.rows[::2]  # halve resolution, keep coverage

@@ -1,9 +1,17 @@
-"""Fourier pseudospectral semi-discretization.
+"""Fourier-multiplier stiff terms for every periodic semi-discretization.
 
-The dispersion term i*a*u_xx is diagonal in Fourier space with multiplier
--i*a*xi^2, so both applying it and solving the shifted systems that arise in
-diagonally implicit stages are exact mode-wise operations.  The exact
-sub-flows of operator splitting live here too.
+On a periodic grid both stiff terms are diagonal in Fourier space, so
+applying them and solving the shifted systems that arise in diagonally
+implicit stages are exact mode-wise operations.  The two discretizations
+differ only in the symbol:
+
+- pseudospectral, i*a*u_xx with symbol -i*a*xi^2 (:func:`spectral_operator`);
+- conservative finite elements, i*a*L/dx^2 with L the circulant second
+  difference and symbol i*a*(2cos(xi*dx) - 2)/dx^2 (:func:`fem_operator`).
+  This is the complex view of the skew-symmetric real-pairs term
+  -(a/dx^2) S of :mod:`nlslab.fem`, which stays as its reference definition.
+
+The exact sub-flows of operator splitting live here too.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ def wavenumbers(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Dispersion operator u -> i*a*u_xx realized as a Fourier multiplier."""
+    """Periodic stiff term u -> f(u) realized as a Fourier multiplier."""
 
     grid: Grid
     a: float
@@ -67,27 +75,27 @@ class SpectralOperator:
         return dft_inverse(np.exp(dt * self.symbol) * dft_forward(u))
 
 
-def spectral_operator(grid: Grid, a: float) -> SpectralOperator:
-    """Construct the Fourier-multiplier dispersion operator for coefficient a."""
-    xi = wavenumbers(grid)
-    symbol = -1j * a * xi**2
+def _multiplier(grid: Grid, a: float, xi: np.ndarray, symbol: np.ndarray) -> SpectralOperator:
     xi.setflags(write=False)
     symbol.setflags(write=False)
     return SpectralOperator(grid=grid, a=a, xi=xi, symbol=symbol)
 
 
-def dispersion_apply(op: SpectralOperator, s: GridState) -> np.ndarray:
-    return op.apply(s.u)
+def spectral_operator(grid: Grid, a: float) -> SpectralOperator:
+    """Construct the Fourier-multiplier dispersion operator for coefficient a."""
+    xi = wavenumbers(grid)
+    return _multiplier(grid, a, xi, -1j * a * xi**2)
 
 
-def dispersion_stage_solve(op: SpectralOperator, rhs: GridState, mu: float) -> np.ndarray:
-    return op.solve(rhs.u, mu)
+def fem_operator(grid: Grid, a: float) -> SpectralOperator:
+    """Periodic finite-element stiff term i*a*L/dx^2 as a Fourier multiplier.
 
-
-def nonlinear_term(s: GridState, b: float) -> np.ndarray:
-    """g(u)_j = i*b*|u_j|^2*u_j, the pointwise cubic term."""
-    u = s.u
-    return 1j * b * (u.real**2 + u.imag**2) * u
+    The eigenvalues of the circulant second difference L are
+    2cos(xi*dx) - 2 = -4 sin^2(xi*dx/2); the sine form keeps full relative
+    accuracy at the smooth modes.
+    """
+    xi = wavenumbers(grid)
+    return _multiplier(grid, a, xi, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
 
 
 def exact_linear_flow(op: SpectralOperator, s: GridState, dt: float) -> GridState:
@@ -105,26 +113,14 @@ def exact_nonlinear_flow(s: GridState, b: float, dt: float) -> GridState:
     return s.with_u(nonlinear_flow(s.u, b, dt), t=s.t + dt)
 
 
-class SpectralStiffPart:
-    """Adapter exposing the dispersion term to the ImEx stepper."""
-
-    def __init__(self, op: SpectralOperator):
-        self.op = op
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.op.apply(u)
-
-    def solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
-        return self.op.solve(rhs, mu)
-
-    def solve_and_apply(self, rhs: np.ndarray, mu: float):
-        return self.op.solve_and_apply(rhs, mu)
-
-
 def spectral_parts(op: SpectralOperator, b: float):
-    """(stiff dispersion, explicit nonlinear) pair for ImEx stepping."""
+    """(stiff, explicit nonlinear) pair for ImEx stepping.
+
+    The operator itself is the stiff part; the nonlinear part is the
+    pointwise cubic g(u)_j = i*b*|u_j|^2*u_j shared by both discretizations.
+    """
 
     def nonstiff(u: np.ndarray) -> np.ndarray:
         return 1j * b * (u.real**2 + u.imag**2) * u
 
-    return SpectralStiffPart(op), nonstiff
+    return op, nonstiff

@@ -6,6 +6,7 @@ from nlslab.core import (
     GridState,
     as_real_pairs,
     exact_dot,
+    from_real_pairs,
     gradient_finite_difference,
     make_grid,
 )
@@ -13,7 +14,6 @@ from nlslab.fem import (
     FemStiffPart,
     assemble,
     conserved_functionals,
-    fem_parts,
     fem_rhs,
     grad_energy,
     grad_mass,
@@ -21,9 +21,8 @@ from nlslab.fem import (
     stage_factorize,
     stage_solve,
 )
-from nlslab.imexrk import tableau
 from nlslab.oracles import soliton_exact
-from nlslab.relaxation import integrate_imex, make_imex_stepper
+from nlslab.spectral import fem_operator, spectral_parts
 
 A_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -143,14 +142,28 @@ def test_stage_factorization_reuse_is_bitwise():
     assert np.array_equal(stage_solve(fac, rhs), stage_solve(fac, rhs))
 
 
-def test_one_factorization_per_step_size():
-    grid = make_grid(-20, 20, 64)
-    op = assemble(64, grid.dx, "periodic", beta=2.0)
-    stiff, nonstiff = fem_parts(op)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
-    s0 = GridState(grid, 1 / np.cosh(grid.nodes) + 0j)
-    integrate_imex(s0, stepper, 0.01, 0.05)
-    assert op.factorization_count == 1
+@pytest.mark.parametrize("m, a", [(32, 0.35), (4480, 1.0)])
+def test_fem_operator_matches_assembled_reference(m, a):
+    # m=4480 is the criterion-5 mesh; the multiplier must reproduce the
+    # assembled -(a/dx^2) S and its shifted system (I + (mu*a/dx^2) S)
+    grid = make_grid(-35, 35, m)
+    ref = assemble(m, grid.dx, "periodic", beta=8.0, a=a)
+    op = fem_operator(grid, a)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    z = as_real_pairs(u)
+    expected = from_real_pairs(-(a / grid.dx**2) * (ref.s_matrix @ z))
+    assert np.max(np.abs(op.apply(u) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for mu in (0.0025, 0.01):
+        g_ref = from_real_pairs(stage_solve(stage_factorize(ref, mu), z))
+        g, fg = op.solve_and_apply(u, mu)
+        for candidate in (g, op.solve(u, mu)):
+            assert np.max(np.abs(candidate - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        gz = as_real_pairs(g)
+        residual = gz + (mu * a / grid.dx**2) * (ref.s_matrix @ gz) - z
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(z))
+        fg_ref = from_real_pairs(-(a / grid.dx**2) * (ref.s_matrix @ gz))
+        assert np.max(np.abs(fg - fg_ref)) <= 1e-12 * np.max(np.abs(fg_ref))
 
 
 def test_grad_mass_formula_and_euler_identity():
@@ -228,24 +241,30 @@ def test_drift_rates_vanish_on_random_states(bc):
         assert abs(r2) <= 1e-12 * scale
 
 
+def _stiff_parts(grid, op):
+    """The assembled adapter and the multiplier run_method steps with."""
+    return FemStiffPart(op), fem_operator(grid, op.a)
+
+
 def test_stiff_part_matches_rhs_linear_term():
     grid = make_grid(-4, 4, 32)
     op = assemble(32, grid.dx, "periodic", beta=2.0)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    stiff, nonstiff = fem_parts(op)
-    total = stiff.apply(u) + nonstiff(u)
     via_rhs = fem_rhs(op, GridState(grid, u))
-    assert np.max(np.abs(total.real - via_rhs[0::2])) <= 1e-12
-    assert np.max(np.abs(total.imag - via_rhs[1::2])) <= 1e-12
+    for part in _stiff_parts(grid, op):
+        stiff, nonstiff = spectral_parts(part, op.beta)
+        total = stiff.apply(u) + nonstiff(u)
+        assert np.max(np.abs(total.real - via_rhs[0::2])) <= 1e-12
+        assert np.max(np.abs(total.imag - via_rhs[1::2])) <= 1e-12
 
 
 def test_stiff_solve_inverts_shifted_system():
     grid = make_grid(-4, 4, 32)
     op = assemble(32, grid.dx, "periodic", beta=2.0)
-    stiff = FemStiffPart(op)
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     mu = 0.03
-    g = stiff.solve(rhs, mu)
-    assert np.max(np.abs((g - mu * stiff.apply(g)) - rhs)) <= 1e-11 * np.max(np.abs(rhs))
+    for stiff in _stiff_parts(grid, op):
+        g = stiff.solve(rhs, mu)
+        assert np.max(np.abs((g - mu * stiff.apply(g)) - rhs)) <= 1e-11 * np.max(np.abs(rhs))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,29 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
     rc = main(["convergence", "--method", "SP-ImEx4(MR)", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "energy-conserving" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--T", "1/0"), ("--dt", "abc")])
+def test_cli_rejects_bad_number_override(tmp_path, capsys, flag, value):
+    from nlslab.cli import main
+
+    rc = main(["invariants", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"bad value for {flag[2:]!r}" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    code = (
+        "import sys, nlslab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_semiclassical_desk_scale_default(tmp_path):

@@ -12,7 +12,7 @@ from nlslab.core import (
     make_grid,
     mass_functional,
 )
-from nlslab.fem import assemble, conserved_functionals, fem_parts
+from nlslab.fem import assemble, conserved_functionals
 from nlslab.imexrk import StepIncrements, tableau
 from nlslab.oracles import soliton_initial
 from nlslab.relaxation import (
@@ -28,7 +28,7 @@ from nlslab.relaxation import (
     relax_single,
     relaxed_update,
 )
-from nlslab.spectral import spectral_operator, spectral_parts
+from nlslab.spectral import fem_operator, spectral_operator, spectral_parts
 
 
 def _increments(u_next, d1, d2=None):
@@ -194,7 +194,7 @@ def test_relax_multi_matches_independent_root_finder():
 def test_relax_multi_reevaluation_reproduces_targets(fem_setup):
     grid, op, un = fem_setup
     pair = conserved_functionals(op)
-    stiff, nonstiff = fem_parts(op)
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
     dt = 0.02
     inc = stepper(un.u, dt)
@@ -277,7 +277,7 @@ def test_adaptive_rejects_on_conservation_and_halves(fem_setup):
     doubled = InvariantFunctional(
         "mass-doubled", lambda s: 2.0 * mass.evaluate(s), lambda s: 2.0 * mass.gradient(s)
     )
-    stiff, nonstiff = fem_parts(op)
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
     stepper = make_imex_stepper(tab, stiff, nonstiff)
     relaxer = MultiRelaxer((mass, doubled), un)
@@ -291,7 +291,7 @@ def test_adaptive_conservation_rejection_follows_eps_acceptance():
     op = assemble(840, grid.dx, "periodic", beta=8.0)
     s0, _ = soliton_initial(2, grid)
     pair = conserved_functionals(op)
-    stiff, nonstiff = fem_parts(op)
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
     stepper = make_imex_stepper(tab, stiff, nonstiff)
     relaxer = MultiRelaxer(pair, s0)

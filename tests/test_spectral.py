@@ -3,12 +3,10 @@ import pytest
 
 from nlslab.core import GridState, UnsupportedBoundaryError, discrete_mass, make_grid
 from nlslab.spectral import (
-    dispersion_apply,
-    dispersion_stage_solve,
     exact_linear_flow,
     exact_nonlinear_flow,
-    nonlinear_term,
     spectral_operator,
+    spectral_parts,
     wavenumbers,
 )
 
@@ -39,7 +37,7 @@ def test_symbol_is_purely_imaginary():
 def test_dispersion_apply_constant_state():
     grid = make_grid(-1, 1, 32)
     op = spectral_operator(grid, 1.0)
-    out = dispersion_apply(op, GridState(grid, np.full(32, 1.5 + 0.5j)))
+    out = op.apply(np.full(32, 1.5 + 0.5j))
     assert np.max(np.abs(out)) <= 1e-13
 
 
@@ -49,7 +47,7 @@ def test_dispersion_apply_eigenmode():
     op = spectral_operator(grid, a)
     xi1 = 2 * np.pi / grid.length
     u = np.exp(1j * xi1 * grid.nodes)
-    out = dispersion_apply(op, GridState(grid, u))
+    out = op.apply(u)
     assert np.max(np.abs(out - (-1j * a * xi1**2) * u)) <= 1e-12
 
 
@@ -60,7 +58,7 @@ def test_dispersion_apply_sech_second_derivative():
     op = spectral_operator(grid, a)
     sech = 1 / np.cosh(grid.nodes)
     expected = 1j * a * (sech - 2 * sech**3)
-    out = dispersion_apply(op, GridState(grid, sech + 0j))
+    out = op.apply(sech + 0j)
     assert np.max(np.abs(out - expected)) <= 1e-9
 
 
@@ -80,7 +78,7 @@ def test_stage_solve_identity_at_mu_zero():
     op = spectral_operator(grid, 1.0)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    out = dispersion_stage_solve(op, GridState(grid, rhs), 0.0)
+    out = op.solve(rhs, 0.0)
     assert np.max(np.abs(out - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
@@ -90,7 +88,7 @@ def test_stage_solve_single_mode():
     op = spectral_operator(grid, a)
     xi1 = 2 * np.pi / grid.length
     rhs = np.exp(1j * xi1 * grid.nodes)
-    out = dispersion_stage_solve(op, GridState(grid, rhs), 1.0)
+    out = op.solve(rhs, 1.0)
     assert np.max(np.abs(out - rhs / (1 + 1j * a * xi1**2))) <= 1e-12
 
 
@@ -116,11 +114,15 @@ def test_solve_and_apply_consistent():
 
 
 def test_nonlinear_term_values():
-    grid = make_grid(0, 1, 4)
-    out = nonlinear_term(GridState(grid, np.ones(4, dtype=complex)), 2.0)
+    op = spectral_operator(make_grid(0, 1, 4), 1.0)
+
+    def cubic(u, b):
+        return spectral_parts(op, b)[1](u)
+
+    out = cubic(np.ones(4, dtype=complex), 2.0)
     assert np.allclose(out, 2j, atol=1e-15)
-    assert np.all(nonlinear_term(GridState(grid, np.zeros(4, dtype=complex)), 3.0) == 0)
-    out = nonlinear_term(GridState(grid, np.full(4, 1 + 1j)), 1.0)
+    assert np.all(cubic(np.zeros(4, dtype=complex), 3.0) == 0)
+    out = cubic(np.full(4, 1 + 1j), 1.0)
     assert np.allclose(out, -2 + 2j, atol=1e-14)
 
 
