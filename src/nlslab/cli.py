@@ -59,13 +59,13 @@ def main(argv=None) -> int:
         else:
             cfg = ExperimentConfig(scenario=args.scenario)
         cfg = replace(cfg, scenario=args.scenario)
-        if args.method:
+        if args.method is not None:
             cfg = replace(cfg, methods=(parse_method(args.method),))
-        if args.dt:
+        if args.dt is not None:
             cfg = replace(cfg, dt=parse_value("dt", args.dt)[1], dts=())
-        if args.m:
+        if args.m is not None:
             cfg = replace(cfg, m=args.m)
-        if args.T:
+        if args.T is not None:
             cfg = replace(cfg, T=parse_value("T", args.T)[1])
         if args.out:
             cfg = replace(cfg, out=str(args.out))

@@ -140,7 +140,8 @@ def soliton_initial(n: int, grid: Grid) -> tuple[GridState, float]:
 
 
 def boundary_value(grid: Grid) -> float:
-    """|sech| at the farthest domain edge; used to warn about small boxes."""
+    """|sech| at the farthest domain edge: how far a unit soliton centred at
+    0 has decayed where the box cuts it off."""
     edge = max(abs(float(grid.nodes[0])), abs(float(grid.nodes[-1])) + grid.dx)
     return 1.0 / math.cosh(edge)
 

@@ -44,7 +44,6 @@ class SpectralOperator:
 
     grid: Grid
     a: float
-    xi: np.ndarray
     symbol: np.ndarray
 
     def _check(self, u: np.ndarray) -> None:
@@ -75,16 +74,15 @@ class SpectralOperator:
         return dft_inverse(np.exp(dt * self.symbol) * dft_forward(u))
 
 
-def _multiplier(grid: Grid, a: float, xi: np.ndarray, symbol: np.ndarray) -> SpectralOperator:
-    xi.setflags(write=False)
+def _multiplier(grid: Grid, a: float, symbol: np.ndarray) -> SpectralOperator:
     symbol.setflags(write=False)
-    return SpectralOperator(grid=grid, a=a, xi=xi, symbol=symbol)
+    return SpectralOperator(grid=grid, a=a, symbol=symbol)
 
 
 def spectral_operator(grid: Grid, a: float) -> SpectralOperator:
     """Construct the Fourier-multiplier dispersion operator for coefficient a."""
     xi = wavenumbers(grid)
-    return _multiplier(grid, a, xi, -1j * a * xi**2)
+    return _multiplier(grid, a, -1j * a * xi**2)
 
 
 def fem_operator(grid: Grid, a: float) -> SpectralOperator:
@@ -95,7 +93,7 @@ def fem_operator(grid: Grid, a: float) -> SpectralOperator:
     accuracy at the smooth modes.
     """
     xi = wavenumbers(grid)
-    return _multiplier(grid, a, xi, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
+    return _multiplier(grid, a, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
 
 
 def exact_linear_flow(op: SpectralOperator, s: GridState, dt: float) -> GridState:

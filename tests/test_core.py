@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlslab.core import (
@@ -11,6 +15,8 @@ from nlslab.core import (
     dft_forward,
     dft_inverse,
     energy_functional,
+    exact_dot,
+    exact_sum,
     gradient_finite_difference,
     make_grid,
     mass_functional,
@@ -177,3 +183,76 @@ def test_dft_rejects_empty_and_multidimensional_input():
         dft_forward(np.empty(0, dtype=complex))
     with pytest.raises(DimensionMismatchError):
         dft_inverse(np.ones((4, 4), dtype=complex))
+
+
+# exact_sum / exact_dot against math.fsum, the exactly rounded reference.
+# Large arrays come from a numpy generator seeded by hypothesis, because
+# drawing 10k floats one by one is slow; small lists exercise every float.
+
+
+def _outcome(fn, *args):
+    """Result as its exact bits (hex keeps the sign of zero), or the error."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _binades(rng, n: int, spread: int) -> np.ndarray:
+    return rng.standard_normal(n) * np.exp2(rng.integers(-spread, spread + 1, n).astype(float))
+
+
+def _positive(rng, n, shift):
+    return rng.random(n) * np.exp2(rng.integers(-40, 41, n).astype(float))
+
+
+def _mixed(rng, n, shift):
+    return _binades(rng, n, 200)
+
+
+def _cancelling(rng, n, shift):
+    # x and -x(1+delta), with delta nonzero only on the terms more than
+    # 2**shift below the largest: the large terms cancel exactly, leaving a
+    # sum with condition number up to about 2**(shift + 53).
+    x = _binades(rng, n // 2, 200)
+    small = np.abs(x) < 2.0**-shift * np.abs(x).max(initial=0.0)
+    delta = rng.uniform(-1.0, 1.0, x.size) * small
+    return rng.permutation(np.concatenate([x, -x * (1.0 + delta)]))
+
+
+@pytest.mark.parametrize("family", [_positive, _mixed, _cancelling])
+@given(
+    n=st.integers(0, 10_000),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.integers(0, 400),
+)
+def test_exact_sum_is_fsum_bit_for_bit(family, n, seed, shift):
+    values = family(np.random.default_rng(seed), n, shift)
+    assert exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200))
+def test_exact_sum_matches_fsum_on_any_finite_list(values):
+    # Faithful (within one ulp) is the least the invariants need; the
+    # extraction loop settles the rounding, so the result is fsum's exactly,
+    # including signed zeros and sums that overflow.
+    assert _outcome(exact_sum, values) == _outcome(math.fsum, values)
+
+
+@given(n=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
+def test_exact_dot_is_fsum_of_products(n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = _binades(rng, n, 100), _binades(rng, n, 100)
+    assert exact_dot(x, y).hex() == math.fsum((x * y).tolist()).hex()
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+    st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_exact_sum_nonfinite_input_behaves_like_fsum(finite, special, rnd):
+    values = finite + special
+    rnd.shuffle(values)
+    assert _outcome(exact_sum, values) == _outcome(math.fsum, values)
+    assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)

@@ -275,13 +275,22 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
     assert "energy-conserving" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--T", "1/0"), ("--dt", "abc")])
+@pytest.mark.parametrize("flag, value", [("--T", "1/0"), ("--dt", "abc"), ("--T", "")])
 def test_cli_rejects_bad_number_override(tmp_path, capsys, flag, value):
     from nlslab.cli import main
 
     rc = main(["invariants", flag, value, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"bad value for {flag[2:]!r}" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_grid_override(tmp_path, capsys):
+    from nlslab.cli import main
+
+    argv = ["invariants", "--method", "SP-S2", "--T", "0.01", "--m", "0"]
+    rc = main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "at least 4 points" in capsys.readouterr().err
 
 
 def test_cli_imports_no_scipy():
