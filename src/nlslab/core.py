@@ -7,7 +7,8 @@ the same data as interleaved real/imaginary pairs via :func:`as_real_pairs`.
 
 Every invariant and relaxation sum goes through :func:`exact_sum` or
 :func:`exact_dot`: the correctly rounded sum, by the error-free vector
-extraction of Ogita, Rump and Oishi in whole-array numpy passes.
+extraction of Ogita, Rump and Oishi in whole-array numpy passes, including
+the polynomial restrictions of the invariants (:func:`family_coefficients`).
 """
 
 from __future__ import annotations
@@ -237,10 +238,10 @@ def dft_inverse(uhat: np.ndarray) -> np.ndarray:
     return np.fft.ifft(uhat)
 
 
-def discrete_mass(s: GridState) -> float:
-    """dx * sum_j |u_j|^2."""
+def discrete_mass(s: GridState, weight=1.0) -> float:
+    """dx * sum_j w_j |u_j|^2, w a node weight (the natural FEM's trapezoid)."""
     u = s.u
-    return s.grid.dx * exact_sum(u.real**2 + u.imag**2)
+    return s.grid.dx * exact_sum(weight * (u.real**2 + u.imag**2))
 
 
 def _forward_differences(u: np.ndarray, bc: str) -> np.ndarray:
@@ -253,42 +254,97 @@ def _forward_differences(u: np.ndarray, bc: str) -> np.ndarray:
     return u[1:] - u[:-1]
 
 
-def discrete_energy(s: GridState, beta: float, a: float = 1.0) -> float:
-    """dx * sum_j ( a*|(u_{j+1}-u_j)/dx|^2 - (beta/2)*|u_j|^4 ).
+def discrete_energy(s: GridState, beta: float, a: float = 1.0, weight=1.0) -> float:
+    """dx * sum_j ( a*|(u_{j+1}-u_j)/dx|^2 - (beta/2)*w_j*|u_j|^4 ).
 
     The difference quotient wraps around for periodic grids and stops at
     node m-1 for natural boundaries.  ``a`` generalizes the gradient-term
-    weight for rescaled problems; the classic equation has a = 1.
+    weight for rescaled problems; the classic equation has a = 1.  ``w`` is
+    the node weight of :func:`discrete_mass`.
     """
     u = s.u
     dx = s.grid.dx
     d = _forward_differences(u, s.grid.bc)
     grad_terms = (a / dx**2) * (d.real**2 + d.imag**2)
-    quart_terms = -(beta / 2.0) * (u.real**2 + u.imag**2) ** 2
+    quart_terms = -(beta / 2.0) * weight * (u.real**2 + u.imag**2) ** 2
     return dx * exact_sum(np.concatenate([grad_terms, quart_terms]))
+
+
+#: Monomials g1**i * g2**j, 1 <= i + j <= 4: a quartic functional restricted
+#: to the family u0 + g1*A + g2*B is a polynomial in them.
+FAMILY_MONOMIALS = tuple((i, d - i) for d in range(1, 5) for i in range(d, -1, -1))
+
+
+def _square_terms(u: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """|u|^2 and, one per monomial in FAMILY_MONOMIALS[:5], the node-wise
+    coefficients of |u + g1 a + g2 b|^2 - |u|^2."""
+
+    def dot(x, y):
+        return x.real * y.real + x.imag * y.imag
+
+    return dot(u, u), (2.0 * dot(u, a), 2.0 * dot(u, b), dot(a, a), 2.0 * dot(a, b), dot(b, b))
+
+
+def family_coefficients(
+    u0, A, B, dx: float, bc: str, mass_weight=None, grad_weight=None, quart_weight=None
+) -> np.ndarray:
+    """5x5 array C of F(u0 + g1*A + g2*B) - F(u0) = sum C[i, j] g1**i g2**j
+    for F(u) = dx * sum(mass_weight*|u|^2 + grad_weight*|D u|^2 + quart_weight*|u|^4),
+    D the forward difference of :func:`discrete_energy`.  Weights are scalars
+    or node arrays; None drops the term.  With Q = |u|^2 - |u0|^2 the quartic
+    term is 2|u0|^2 Q + Q^2.  Each monomial's terms are added per node and
+    then summed exactly; entries outside FAMILY_MONOMIALS, and without a
+    quartic term those of degree 3 and 4, are 0.
+    """
+    monomials = FAMILY_MONOMIALS if quart_weight is not None else FAMILY_MONOMIALS[:5]
+    rows = [np.zeros(u0.shape[0]) for _ in monomials]
+    diffs = (_forward_differences(v, bc) for v in (u0, A, B))
+    for weight, vectors in ((mass_weight, (u0, A, B)), (grad_weight, diffs)):
+        if weight is not None:
+            for row, p in zip(rows, _square_terms(*vectors)[1]):
+                row[: p.shape[0]] += weight * p
+    if quart_weight is not None:
+        p0, p = _square_terms(u0, A, B)
+        twice_p0 = 2.0 * quart_weight * p0
+        for k1, (i1, j1) in enumerate(FAMILY_MONOMIALS[:5]):
+            rows[k1] += twice_p0 * p[k1]
+            weighted = quart_weight * p[k1]
+            for k2, (i2, j2) in enumerate(FAMILY_MONOMIALS[k1:5], k1):
+                product = (weighted if k1 == k2 else 2.0 * weighted) * p[k2]
+                rows[FAMILY_MONOMIALS.index((i1 + i2, j1 + j2))] += product
+    coeffs = np.zeros((5, 5))
+    for row, (i, j) in zip(rows, monomials):
+        coeffs[i, j] = dx * exact_sum(row)
+    return coeffs
 
 
 @dataclass(frozen=True)
 class InvariantFunctional:
-    """A conserved functional with its gradient in the real-pairs view.
+    """A conserved functional, its gradient, and its restriction to a family.
 
     ``gradient`` returns a vector of length 2m ordered like
     :func:`as_real_pairs`, consistent with central finite differences of
-    ``evaluate``.
+    ``evaluate``.  ``restrict(u0, A, B, grid)`` returns the coefficient array
+    of the polynomial ``evaluate(u0 + g1*A + g2*B) - evaluate(u0)`` in
+    (g1, g2), as :func:`family_coefficients` does.
     """
 
     kind: str
     evaluate: Callable[[GridState], float]
     gradient: Callable[[GridState], np.ndarray]
+    restrict: Callable[[np.ndarray, np.ndarray, np.ndarray, Grid], np.ndarray]
 
 
-def mass_functional() -> InvariantFunctional:
-    """Discrete mass and its gradient 2*dx*[v1, w1, ...]."""
+def mass_functional(weight=1.0) -> InvariantFunctional:
+    """Discrete mass with node weight w and its gradient 2*dx*w*[v1, w1, ...]."""
 
     def _grad(s: GridState) -> np.ndarray:
-        return 2.0 * s.grid.dx * as_real_pairs(s.u)
+        return 2.0 * s.grid.dx * as_real_pairs(weight * s.u)
 
-    return InvariantFunctional("mass", discrete_mass, _grad)
+    def _restrict(u0, A, B, grid: Grid) -> np.ndarray:
+        return family_coefficients(u0, A, B, grid.dx, grid.bc, mass_weight=weight)
+
+    return InvariantFunctional("mass", lambda s: discrete_mass(s, weight), _grad, _restrict)
 
 
 def _second_difference(v: np.ndarray, bc: str) -> np.ndarray:
@@ -303,25 +359,31 @@ def _second_difference(v: np.ndarray, bc: str) -> np.ndarray:
     return out
 
 
-def energy_functional(beta: float, a: float = 1.0) -> InvariantFunctional:
+def energy_functional(beta: float, a: float = 1.0, weight=1.0) -> InvariantFunctional:
     """Discrete energy matching :func:`discrete_energy` with its gradient."""
-
-    def _eval(s: GridState) -> float:
-        return discrete_energy(s, beta, a)
 
     def _grad(s: GridState) -> np.ndarray:
         v = s.u.real
         w = s.u.imag
         dx = s.grid.dx
         mod2 = v**2 + w**2
-        gv = -(2.0 * a / dx) * _second_difference(v, s.grid.bc) - 2.0 * beta * dx * mod2 * v
-        gw = -(2.0 * a / dx) * _second_difference(w, s.grid.bc) - 2.0 * beta * dx * mod2 * w
+        quart = 2.0 * beta * dx * weight * mod2
+        gv = -(2.0 * a / dx) * _second_difference(v, s.grid.bc) - quart * v
+        gw = -(2.0 * a / dx) * _second_difference(w, s.grid.bc) - quart * w
         out = np.empty(2 * s.grid.m)
         out[0::2] = gv
         out[1::2] = gw
         return out
 
-    return InvariantFunctional("energy", _eval, _grad)
+    def _restrict(u0, A, B, grid: Grid) -> np.ndarray:
+        quart = -(beta / 2.0) * weight
+        return family_coefficients(
+            u0, A, B, grid.dx, grid.bc, grad_weight=a / grid.dx**2, quart_weight=quart
+        )
+
+    return InvariantFunctional(
+        "energy", lambda s: discrete_energy(s, beta, a, weight), _grad, _restrict
+    )
 
 
 def gradient_finite_difference(

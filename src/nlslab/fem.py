@@ -36,13 +36,10 @@ from .core import (
     GridState,
     InvariantFunctional,
     NumericalFailureError,
-    _second_difference,
     as_real_pairs,
-    discrete_energy,
-    discrete_mass,
     energy_functional,
     exact_dot,
-    exact_sum,
+    exact_sum,  # unused here, but bench/spans.py wraps fem.exact_sum by name
     from_real_pairs,
     mass_functional,
 )
@@ -151,61 +148,23 @@ def stage_solve(fac: StageFactorization, rhs: np.ndarray) -> np.ndarray:
 
 def grad_mass(op: FemOperator, s: GridState) -> np.ndarray:
     """Gradient of the conserved mass matched to this operator's variant."""
-    z = as_real_pairs(s.u)
-    return 2.0 * op.dx * op.itilde * z
+    return conserved_functionals(op)[0].gradient(s)
 
 
 def grad_energy(op: FemOperator, s: GridState) -> np.ndarray:
     """Gradient of the conserved energy matched to this operator's variant."""
-    z = as_real_pairs(s.u)
-    v = z[0::2]
-    w = z[1::2]
-    out = np.empty(2 * op.m)
-    lap_v = _second_difference(v, op.bc)
-    lap_w = _second_difference(w, op.bc)
-    mod2 = v**2 + w**2
-    node_weights = op.itilde[0::2]
-    out[0::2] = -(2.0 * op.a / op.dx) * lap_v - 2.0 * op.beta * op.dx * node_weights * mod2 * v
-    out[1::2] = -(2.0 * op.a / op.dx) * lap_w - 2.0 * op.beta * op.dx * node_weights * mod2 * w
-    return out
-
-
-def conserved_mass(op: FemOperator, s: GridState) -> float:
-    """Discrete mass conserved by this operator (trapezoid-weighted if natural)."""
-    if op.bc == PERIODIC:
-        return discrete_mass(s)
-    u = s.u
-    w = op.itilde[0::2]
-    return op.dx * exact_sum(w * (u.real**2 + u.imag**2))
-
-
-def conserved_energy(op: FemOperator, s: GridState) -> float:
-    """Discrete energy conserved by this operator."""
-    if op.bc == PERIODIC:
-        return discrete_energy(s, op.beta, op.a)
-    u = s.u
-    d = u[1:] - u[:-1]
-    w = op.itilde[0::2]
-    grad_terms = (op.a / op.dx**2) * (d.real**2 + d.imag**2)
-    quart_terms = -(op.beta / 2.0) * w * (u.real**2 + u.imag**2) ** 2
-    return op.dx * exact_sum(np.concatenate([grad_terms, quart_terms]))
+    return conserved_functionals(op)[1].gradient(s)
 
 
 def conserved_functionals(op: FemOperator) -> tuple[InvariantFunctional, InvariantFunctional]:
     """(mass, energy) functionals whose gradients match this operator.
 
-    These are the pair relaxation enforces; on the periodic variant they
-    coincide with the plain forms in :mod:`nlslab.core`.
+    These are the pair relaxation enforces: the forms in :mod:`nlslab.core`,
+    with the trapezoid node weights of ``itilde`` on the natural variant,
+    evaluated on the state's grid (the one the operator was assembled for).
     """
-    if op.bc == PERIODIC:
-        return mass_functional(), energy_functional(op.beta, op.a)
-    mass = InvariantFunctional(
-        "mass", lambda s: conserved_mass(op, s), lambda s: grad_mass(op, s)
-    )
-    energy = InvariantFunctional(
-        "energy", lambda s: conserved_energy(op, s), lambda s: grad_energy(op, s)
-    )
-    return mass, energy
+    weight = 1.0 if op.bc == PERIODIC else op.itilde[0::2]
+    return mass_functional(weight), energy_functional(op.beta, op.a, weight)
 
 
 def invariant_drift_rate(op: FemOperator, s: GridState) -> tuple[float, float]:

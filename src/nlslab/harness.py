@@ -708,7 +708,7 @@ def emit(record: RunRecord, path, fmt: str = "csv", echo: dict | None = None) ->
     summary_path = path.with_name(path.stem + "_summary.csv")
     _write_csv(
         summary_path,
-        list(summary.keys())[:-1],  # warnings serialized separately below
+        list(summary.keys())[:-1],  # all but the warnings list, which only JSON keeps
         [[summary[k] for k in list(summary.keys())[:-1]]],
     )
     return path

@@ -9,6 +9,7 @@ out of both before dividing.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,18 +87,25 @@ _THREE_DEN = (
 _SOLITON_TERMS = {1: (_ONE_NUM, _ONE_DEN), 2: (_TWO_NUM, _TWO_DEN), 3: (_THREE_NUM, _THREE_DEN)}
 
 
-def _exp_sum(terms, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate sum_k c_k e^{k x + i w t} as (shift, value * e^{-shift}).
-
-    The shift is the pointwise maximum real exponent, so the returned value
-    array stays within [0, sum|c_k|] regardless of x.
+@functools.lru_cache(maxsize=4)
+def _soliton_factors(n: int, shape: tuple, x_bytes: bytes):
+    """Time-independent parts of the n-soliton at the points in ``x_bytes``:
+    the clamp mask, e^{num shift - den shift}, and per term list the factors
+    e^{k x - shift}, the shift being the pointwise largest exponent.  These
+    go through the complex exponential, as the phases e^{i w t} do, so each
+    product is bit for bit e^{k x - shift + i w t}.  Keyed by the bytes of
+    x, not its identity, so an array changed in place gets fresh factors.
     """
-    ks = np.array([k for _, k, _ in terms], dtype=float)
-    shift = np.where(x >= 0, ks.max() * x, ks.min() * x)
-    total = np.zeros(x.shape, dtype=np.complex128)
-    for c, k, w in terms:
-        total += c * np.exp((k * x - shift) + 1j * (w * t))
-    return shift, total
+    x = np.frombuffer(x_bytes).reshape(shape)
+    inside = np.abs(x) <= SOLITON_CLAMP_X
+    xs = np.where(inside, x, 0.0)
+    shifts, factors = [], []
+    for terms in _SOLITON_TERMS[n]:
+        ks = np.array([k for _, k, _ in terms], dtype=float)
+        shift = np.where(xs >= 0, ks.max() * xs, ks.min() * xs)
+        shifts.append(shift)
+        factors.append(tuple(np.exp((k * xs - shift) + 0j) for _, k, _ in terms))
+    return inside, np.exp(shifts[0] - shifts[1]), factors
 
 
 def soliton_exact(n: int, x, t: float) -> np.ndarray:
@@ -105,16 +113,17 @@ def soliton_exact(n: int, x, t: float) -> np.ndarray:
 
     These solve i u_t + u_xx + beta |u|^2 u = 0 with beta = 2 n^2 and equal
     sech(x) at t = 0.  Values for |x| > SOLITON_CLAMP_X are clamped to zero.
+    Only the phases e^{i w t} are computed per call; the rest is cached.
     """
     if n not in _SOLITON_TERMS:
         raise ConfigurationError(f"no exact solution for n={n}; choose 1, 2, or 3")
-    num_terms, den_terms = _SOLITON_TERMS[n]
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = np.abs(x_arr) <= SOLITON_CLAMP_X
-    xs = np.where(inside, x_arr, 0.0)
-    num_shift, num = _exp_sum(num_terms, xs, t)
-    den_shift, den = _exp_sum(den_terms, xs, t)
-    out = np.exp(num_shift - den_shift) * (num / den)
+    inside, scale, factors = _soliton_factors(n, x_arr.shape, x_arr.tobytes())
+    num, den = (np.zeros(x_arr.shape, dtype=np.complex128) for _ in factors)
+    for total, terms, term_factors in zip((num, den), _SOLITON_TERMS[n], factors):
+        for (c, _, w), e in zip(terms, term_factors):
+            total += c * (e * np.exp(1j * (w * t)))
+    out = scale * (num / den)
     out[~inside] = 0.0
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return out[0]

@@ -9,7 +9,10 @@ restores the chosen invariants exactly, and time advances by
 (1 + gamma1 + gamma2) * dt.  Single relaxation (gamma2 = 0) enforces one
 invariant; for the quadratic mass functional the defining equation is a
 scalar quadratic solved in closed form.  Multiple relaxation enforces mass
-and energy together via a damped Newton iteration on a 2x2 system.
+and energy together.  Along the family they are polynomials in (gamma1,
+gamma2), so Newton runs on their exact coefficients before a short polish
+against the measured functionals (Ketcheson, SINUM 57(6) 2019; Biswas and
+Ketcheson on multiple relaxation).
 
 Numerical care: every run enforces the invariants against their *initial*
 values (equivalent to matching the previous step in exact arithmetic, by
@@ -46,6 +49,8 @@ from .imexrk import ImExTableau, StepIncrements, imex_step
 _LANDING_REL_TOL = 1e-12
 _MAX_NEWTON_ITERATIONS = 50
 _MAX_DAMPING_HALVINGS = 10
+_POLISH_STEPS = 3
+_POWERS = np.arange(5.0)
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,32 @@ def relax_single(
     )
 
 
+def _damped_newton(residual, jacobian, gamma, r, norm, max_iterations, damp_below=np.inf):
+    """Damped Newton on ``residual(gamma) -> (r, |r|)``: steps are halved until
+    the norm drops, but only taken in full while it is at least ``damp_below``.
+    Returns the best (gamma, r, norm) and the number of iterations."""
+    iterations = 0
+    while iterations < max_iterations and norm > 0.0:
+        iterations += 1
+        jac = jacobian(gamma)
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        scale = np.hypot(*jac[0]) * np.hypot(*jac[1])
+        if abs(det) <= 1e-14 * scale or scale == 0.0:
+            break  # directions are (numerically) parallel in gradient space
+        step = np.linalg.solve(jac, -r)
+        lam = 1.0
+        for _ in range(_MAX_DAMPING_HALVINGS if norm < damp_below else 1):
+            candidate = gamma + lam * step
+            r_new, norm_new = residual(candidate)
+            if norm_new < norm:
+                gamma, r, norm = candidate, r_new, norm_new
+                break
+            lam *= 0.5
+        else:
+            break
+    return gamma, r, norm, iterations
+
+
 def relax_multi(
     un: GridState,
     inc: StepIncrements,
@@ -226,53 +257,51 @@ def relax_multi(
 ) -> RelaxationOutcome:
     """Solve the 2x2 conservation system for (gamma1, gamma2).
 
-    Damped Newton with the analytic Jacobian J_kl = dt * grad eta_k . d_l,
-    started from (0, 0).  The iterate with the smallest measured residual is
-    returned; a singular Jacobian or stalled iteration yields a
-    non-converged outcome for the caller's step-halving fallback.
+    Each functional's ``restrict`` gives its change along u_next + g1*A + g2*B
+    (A = dt*d1, B = dt*d2) as an exact polynomial; with the measured residual
+    at (0, 0) as constant term, damped Newton runs on that model from (0, 0).
+    At most _POLISH_STEPS corrections with the model Jacobian then polish its
+    best point against the measured functionals, and the point with the
+    smallest measured residual is returned.  A singular Jacobian or stalled
+    iteration yields a non-converged outcome for step-halving fallback.
     """
     f1, f2 = functionals
     if targets is None:
         targets = (f1.evaluate(un), f2.evaluate(un))
-    d_pairs = (as_real_pairs(inc.d1), as_real_pairs(inc.d2))
 
-    def residual_at(g1: float, g2: float) -> tuple[np.ndarray, GridState]:
-        state = un.with_u(inc.u_next + dt * (g1 * inc.d1 + g2 * inc.d2))
-        r = np.array(
-            [f1.evaluate(state) - targets[0], f2.evaluate(state) - targets[1]]
-        )
-        return r, state
+    def measured(gamma: np.ndarray) -> tuple[np.ndarray, float]:
+        state = un.with_u(inc.u_next + dt * (gamma[0] * inc.d1 + gamma[1] * inc.d2))
+        r = np.array([f1.evaluate(state) - targets[0], f2.evaluate(state) - targets[1]])
+        return r, float(np.hypot(*r))
 
-    gamma = np.zeros(2)
-    r, state = residual_at(*gamma)
-    best_gamma = gamma.copy()
-    best_norm = float(np.hypot(*r))
-    iterations = 0
-    while iterations < _MAX_NEWTON_ITERATIONS and best_norm > 0.0:
-        iterations += 1
-        grads = (f1.gradient(state), f2.gradient(state))
-        jac = np.array(
-            [[dt * exact_dot(grads[k], d_pairs[l]) for l in range(2)] for k in range(2)]
+    best_gamma = np.zeros(2)
+    r0, best_norm = measured(best_gamma)  # 0 ends the solve with no iteration
+    A, B = dt * inc.d1, dt * inc.d2
+    coeffs = np.array([f.restrict(inc.u_next, A, B, un.grid) for f in functionals])
+    coeffs[:, 0, 0] = r0  # coeffs[k, i, j] multiplies g1**i * g2**j in residual k
+    by_g1 = coeffs[:, 1:, :] * _POWERS[1:, None]
+    by_g2 = coeffs[:, :, 1:] * _POWERS[1:]
+
+    def model(g: np.ndarray) -> tuple[np.ndarray, float]:
+        r = coeffs @ g[1] ** _POWERS @ g[0] ** _POWERS
+        return r, float(np.hypot(*r))
+
+    def jacobian(g: np.ndarray) -> np.ndarray:
+        p1, p2 = g[0] ** _POWERS, g[1] ** _POWERS
+        return np.column_stack([by_g1 @ p2 @ p1[:4], by_g2 @ p2[:4] @ p1])
+
+    gamma, _, _, iterations = _damped_newton(
+        model, jacobian, best_gamma, r0, best_norm, _MAX_NEWTON_ITERATIONS
+    )
+    if gamma.any():
+        # Full steps only above the tolerance: an attempt without a nearby
+        # root then costs a single extra evaluation.
+        gamma, _, norm, polished = _damped_newton(
+            measured, jacobian, gamma, *measured(gamma), _POLISH_STEPS, conservation_tol
         )
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        scale = np.hypot(*jac[0]) * np.hypot(*jac[1])
-        if abs(det) <= 1e-14 * scale or scale == 0.0:
-            break  # directions are (numerically) parallel in gradient space
-        step = np.linalg.solve(jac, -r)
-        lam = 1.0
-        improved = False
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            candidate = gamma + lam * step
-            r_new, state_new = residual_at(*candidate)
-            norm_new = float(np.hypot(*r_new))
-            if norm_new < best_norm:
-                gamma, r, state = candidate, r_new, state_new
-                best_gamma, best_norm = candidate.copy(), norm_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
+        iterations += polished
+        if norm < best_norm:
+            best_gamma, best_norm = gamma, norm
     return RelaxationOutcome(
         float(best_gamma[0]),
         float(best_gamma[1]),

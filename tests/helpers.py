@@ -1,5 +1,10 @@
 """Shared independent oracles for the test suite."""
 
+import math
+
+import numpy as np
+
+from nlslab.core import GridState
 from nlslab.oracles import soliton_beta, soliton_exact
 
 
@@ -26,3 +31,28 @@ def pde_residual(n: int, x: float, t: float, h: float = 1e-4) -> float:
         - soliton_exact(n, x - 2 * h, t)
     ) / (12 * h**2)
     return abs(1j * ut + uxx + beta * abs(u) ** 2 * u)
+
+
+def random_family(m: int, seed: int):
+    """Random complex (u0, A, B) of length m; the directions are scaled by a
+    common factor between 1e-3 and 10, so the terms of every degree matter."""
+    rng = np.random.default_rng(seed)
+    u0, A, B = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3))
+    scale = 10.0 ** rng.uniform(-3.0, 1.0)
+    return u0, scale * A, scale * B
+
+
+def restriction_mismatch(functional, magnitude, grid, u0, A, B, g1, g2):
+    """(|restrict polynomial - measured change|, summed absolute term size).
+
+    The measured change is ``functional.evaluate`` at u0 + g1*A + g2*B minus
+    its value at u0.  ``magnitude`` is the same functional with every node
+    term nonnegative; with the absolute polynomial terms it bounds what
+    rounding can leave in either side.
+    """
+    coeffs = functional.restrict(u0, A, B, grid)
+    terms = [coeffs[i, j] * g1**i * g2**j for i in range(5) for j in range(5)]
+    s0, s1 = GridState(grid, u0), GridState(grid, u0 + g1 * A + g2 * B)
+    change = functional.evaluate(s1) - functional.evaluate(s0)
+    size = magnitude.evaluate(s0) + magnitude.evaluate(s1) + sum(abs(t) for t in terms)
+    return abs(math.fsum(terms) - change), size

@@ -6,7 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helpers import random_family, restriction_mismatch
 from nlslab.core import (
+    FAMILY_MONOMIALS,
+    NATURAL,
+    PERIODIC,
     ConfigurationError,
     GridState,
     NumericalFailureError,
@@ -174,6 +178,35 @@ def test_invariant_gradients_match_finite_differences(bc, kind):
     fd = gradient_finite_difference(functional, s, step=1e-7)
     scale = np.max(np.abs(grad))
     assert np.max(np.abs(fd - grad)) <= 1e-6 * scale
+
+
+@given(
+    m=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    g1=st.floats(-1.0, 1.0),
+    g2=st.floats(-1.0, 1.0),
+    bc=st.sampled_from([PERIODIC, NATURAL]),
+    beta=st.floats(0.5, 20.0),
+    a=st.floats(0.1, 2.0),
+)
+def test_restrict_is_the_functional_along_the_family(m, seed, g1, g2, bc, beta, a):
+    grid = make_grid(-4.0, 4.0, m, bc=bc)
+    u0, A, B = random_family(m, seed)
+    pairs = [
+        (mass_functional(), mass_functional()),
+        (energy_functional(beta, a), energy_functional(-beta, a)),
+    ]
+    for functional, magnitude in pairs:
+        error, size = restriction_mismatch(functional, magnitude, grid, u0, A, B, g1, g2)
+        assert error <= 1e-12 * size
+        coeffs = functional.restrict(u0, A, B, grid)
+        for i in range(5):
+            for j in range(5):
+                if (i, j) not in FAMILY_MONOMIALS:
+                    assert coeffs[i, j] == 0.0
+    mass_coeffs = mass_functional().restrict(u0, A, B, grid)
+    assert all(mass_coeffs[i, j] == 0.0 for i, j in FAMILY_MONOMIALS if i + j >= 3)
+    assert any(mass_coeffs[i, j] != 0.0 for i, j in FAMILY_MONOMIALS)
 
 
 def test_dft_rejects_empty_and_multidimensional_input():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import random_family, restriction_mismatch
 from nlslab.core import (
+    FAMILY_MONOMIALS,
+    NATURAL,
     ConfigurationError,
     GridState,
     as_real_pairs,
@@ -205,6 +210,25 @@ def test_conserved_gradients_match_finite_differences(bc):
         grad = functional.gradient(s)
         fd = gradient_finite_difference(functional, s, step=1e-7)
         assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
+
+
+@given(
+    m=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    g1=st.floats(-1.0, 1.0),
+    g2=st.floats(-1.0, 1.0),
+    beta=st.floats(0.5, 20.0),
+)
+def test_natural_restrict_is_the_functional_along_the_family(m, seed, g1, g2, beta):
+    grid = make_grid(-4.0, 4.0, m, bc=NATURAL)
+    u0, A, B = random_family(m, seed)
+    pair = conserved_functionals(assemble(m, grid.dx, NATURAL, beta=beta, a=0.7))
+    magnitudes = conserved_functionals(assemble(m, grid.dx, NATURAL, beta=-beta, a=0.7))
+    for functional, magnitude in zip(pair, magnitudes):
+        error, size = restriction_mismatch(functional, magnitude, grid, u0, A, B, g1, g2)
+        assert error <= 1e-12 * size
+    mass_coeffs = pair[0].restrict(u0, A, B, grid)
+    assert all(mass_coeffs[i, j] == 0.0 for i, j in FAMILY_MONOMIALS if i + j >= 3)
 
 
 def test_drift_rates_vanish_on_exact_soliton():

@@ -5,6 +5,8 @@ from nlslab.core import ConfigurationError, GridState, discrete_mass, make_grid
 from helpers import pde_residual
 
 from nlslab.oracles import (
+    SOLITON_CLAMP_X,
+    _SOLITON_TERMS,
     boundary_value,
     density,
     reference_solution,
@@ -56,6 +58,52 @@ def test_exact_mass_time_independent(n):
         for t in (0.0, 0.7, 1.9)
     ]
     assert max(masses) - min(masses) <= 1e-10
+
+
+def _uncached_soliton(n, x, t):
+    """The evaluator before its x-dependent factors were cached, verbatim."""
+
+    def exp_sum(terms, x, t):
+        ks = np.array([k for _, k, _ in terms], dtype=float)
+        shift = np.where(x >= 0, ks.max() * x, ks.min() * x)
+        total = np.zeros(x.shape, dtype=np.complex128)
+        for c, k, w in terms:
+            total += c * np.exp((k * x - shift) + 1j * (w * t))
+        return shift, total
+
+    num_terms, den_terms = _SOLITON_TERMS[n]
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = np.abs(x_arr) <= SOLITON_CLAMP_X
+    xs = np.where(inside, x_arr, 0.0)
+    num_shift, num = exp_sum(num_terms, xs, t)
+    den_shift, den = exp_sum(den_terms, xs, t)
+    out = np.exp(num_shift - den_shift) * (num / den)
+    out[~inside] = 0.0
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return out[0]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_soliton_is_bitwise_the_uncached_formula(n):
+    points = np.concatenate([np.linspace(-45.0, 45.0, 901), [-40.5, -40.0, 40.0, 41.0]])
+    for t in (0.0, 1e-9, 0.37, 1.9, 7.25, 20.0):
+        for x in (points, points[::-7], 0.0, -3.3, 44.0):
+            got = soliton_exact(n, x, t)
+            want = _uncached_soliton(n, x, t)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_soliton_cache_sees_in_place_changes():
+    x = np.linspace(-5.0, 5.0, 64)
+    before = soliton_exact(2, x, 0.6)
+    x += 0.75  # same array object, new values
+    after = soliton_exact(2, x, 0.6)
+    assert after.tobytes() == _uncached_soliton(2, x, 0.6).tobytes()
+    assert not np.array_equal(after, before)
+    x[10] = 50.0
+    assert soliton_exact(2, x, 0.6)[10] == 0.0
 
 
 def test_far_field_clamps_to_zero():
