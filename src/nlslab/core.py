@@ -434,7 +434,6 @@ class RunRecord:
     accepted: int = 0
     eps_rejections: int = 0
     conservation_rejections: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     def log(self, row: StepRow) -> None:
         self.steps.append(row)
@@ -455,7 +454,6 @@ class RunRecord:
             "accepted": self.accepted,
             "eps_rejections": self.eps_rejections,
             "conservation_rejections": self.conservation_rejections,
-            "warnings": list(self.warnings),
         }
 
 

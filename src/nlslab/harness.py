@@ -315,14 +315,14 @@ def run_method(
     """Integrate one method to time T on the given grid."""
     make_operator = fem_operator if method.discretization == "fem" else spectral_operator
     op = make_operator(grid, problem.a)
+    invariants = [mass_functional(), energy_functional(problem.b, problem.a)]
     if method.is_splitting:
         sch = splitting.scheme(method.family)
         return splitting.integrate_splitting(
-            s0, sch, op, problem.b, dt, T, observer=observer
+            s0, sch, op, problem.b, dt, T, invariants=invariants, observer=observer
         )
     tab = tableau(method.family)
     stepper = make_imex_stepper(tab, *spectral_parts(op, problem.b))
-    invariants = [mass_functional(), energy_functional(problem.b, problem.a)]
     if method.relaxation == "single":
         relaxer = SingleRelaxer(invariants[0], s0, tol=cfg.conservation_tol)
     elif method.relaxation == "multi":
@@ -376,8 +376,7 @@ class SemiclassicalReference:
         state = self._states[best_t]
         if t > state.t + 1e-13:
             state, _ = splitting.integrate_splitting(
-                state, splitting.scheme("AK4"), self._op, self.problem.b,
-                self.dt_ref, t, track_invariants=False,
+                state, splitting.scheme("AK4"), self._op, self.problem.b, self.dt_ref, t
             )
             self._states[state.t] = state
         return state
@@ -706,11 +705,7 @@ def emit(record: RunRecord, path, fmt: str = "csv", echo: dict | None = None) ->
     _write_csv(path, STEP_COLUMNS, rows)
     summary = record.summary()
     summary_path = path.with_name(path.stem + "_summary.csv")
-    _write_csv(
-        summary_path,
-        list(summary.keys())[:-1],  # all but the warnings list, which only JSON keeps
-        [[summary[k] for k in list(summary.keys())[:-1]]],
-    )
+    _write_csv(summary_path, list(summary), [list(summary.values())])
     return path
 
 

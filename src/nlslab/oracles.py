@@ -229,7 +229,5 @@ def reference_solution(p: Problem, dt_ref: float, dx_ref: float, T: float) -> Gr
         raise ConfigurationError(f"no initial-data sampler for ic={p.ic!r}")
     op = spectral_operator(grid, p.a)
     sch = splitting.scheme("AK4")
-    state, _ = splitting.integrate_splitting(
-        state, sch, op, p.b, dt_ref, T, track_invariants=False
-    )
+    state, _ = splitting.integrate_splitting(state, sch, op, p.b, dt_ref, T)
     return state

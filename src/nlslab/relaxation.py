@@ -1,4 +1,5 @@
-"""Relaxation post-processing and the hybrid adaptive step controller.
+"""Relaxation post-processing, the hybrid adaptive step controller, and the
+step loop every integrator runs.
 
 After an embedded ImEx step produces directions d1 and d2, relaxation picks
 coefficients (gamma1, gamma2) so the updated solution
@@ -19,6 +20,12 @@ values (equivalent to matching the previous step in exact arithmetic, by
 induction), and root finding keeps the iterate with the smallest measured
 residual.  This stops per-step rounding from random-walking across a long
 run, which matters because conserved drifts are asserted near 1e-15.
+
+Splitting, fixed-step ImEx and adaptive ImEx share one step loop: take a
+step, estimate its error if a controller is given, relax if a relaxer is
+given, then accept or reject.  Relaxation is thus a step-level post-process
+that composes with step-size control (Ranocha, Sayyari, Dalcin, Parsani and
+Ketcheson, SISC 42(2), 2020).  A relaxation failure halves the step.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ _MAX_NEWTON_ITERATIONS = 50
 _MAX_DAMPING_HALVINGS = 10
 _POLISH_STEPS = 3
 _POWERS = np.arange(5.0)
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -375,6 +383,108 @@ def _finite(u: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(u.view(np.float64))))
 
 
+def _solve(relaxer, state: GridState, inc: StepIncrements, h: float) -> RelaxationOutcome:
+    """``relaxer.solve``, with a sum that overflows on a huge but finite trial
+    state (``math.fsum`` raises OverflowError, or ValueError on inf terms)
+    reported as a failed solve, so the step is halved."""
+    try:
+        return relaxer.solve(state, inc, h)
+    except ConfigurationError:
+        raise
+    except (OverflowError, ValueError):
+        return RelaxationOutcome(0.0, 0.0, 0.0, float("inf"), 0, False)
+
+
+def _integrate(
+    s0: GridState,
+    step,
+    dt: float,
+    T: float,
+    relaxer=None,
+    controller: ControllerConfig | None = None,
+    invariants=None,
+    observer=None,
+) -> tuple[GridState, RunRecord]:
+    """The step loop behind every integrator: march ``step(u, h) ->
+    StepIncrements`` from s0 to T, shrinking the last step to land on T.
+
+    Without a controller every step has nominal size dt (integrate_imex);
+    with one, dt is the first size and the error estimate steers the rest
+    (adaptive_integrate).  Either way a relaxation failure retries the step
+    at half the size.
+    """
+    if dt <= 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if T < s0.t or (controller is not None and T == s0.t):
+        raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
+    if controller is not None:
+        dt_min = controller.dt_min if controller.dt_min is not None else 1e-12 * (T - s0.t)
+    record = RunRecord()
+    tracker = InvariantTracker(invariants, s0) if invariants else None
+    state = s0
+    h_next = dt
+    attempts = halvings = 0
+    tiny = _LANDING_REL_TOL * max(1.0, abs(T))
+    started = time.perf_counter()
+    while state.t < T - tiny:
+        if controller is not None and h_next < dt_min:
+            raise NumericalFailureError(
+                f"step size {h_next:.3e} fell below the floor {dt_min:.3e} at t={state.t:.6g}"
+            )
+        h = min(h_next, T - state.t)
+        inc = step(state.u, h)
+        attempts += 1
+        eps = None
+        if controller is None:
+            if not _finite(inc.u_next):
+                raise NumericalFailureError(f"non-finite state after step {attempts}")
+        elif not (_finite(inc.u_next) and _finite(inc.d2)):
+            record.log(StepRow(state.t, h, float("inf"), 0.0, None, EPS_REJECTED))
+            h_next = h / 2.0
+            continue
+        else:
+            eps = error_estimate(inc.u_next, state.u + h * inc.d2, controller)
+            if not eps < 1.0:
+                record.log(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
+                h_next = propose_step(eps, h, controller)
+                continue
+        gamma_total, residual = 0.0, None
+        if relaxer is None:
+            state = state.with_u(inc.u_next, t=state.t + h)
+        else:
+            out = _solve(relaxer, state, inc, h)
+            if not out.converged:
+                record.log(
+                    StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
+                )
+                halvings += 1
+                if controller is None and halvings > _MAX_HALVINGS:
+                    raise NumericalFailureError(
+                        f"relaxation failed to converge after {_MAX_HALVINGS} halvings "
+                        f"at t={state.t:.6g}"
+                    )
+                h_next = h / 2.0
+                continue
+            state = relaxed_update(state, inc, h, out)
+            gamma_total, residual = out.gamma_total, out.residual
+        if tracker is not None:
+            drift = tracker.update(state)
+            if residual is None:
+                residual = drift
+        if observer is not None:
+            observer(state)
+        record.log(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
+        halvings = 0
+        h_next = dt if controller is None else propose_step(eps, h, controller)
+    record.runtime_seconds = time.perf_counter() - started
+    record.final_t = state.t
+    if tracker is not None:
+        drifts = tracker.drift_by_kind()
+        record.max_mass_drift = drifts.get("mass")
+        record.max_energy_drift = drifts.get("energy")
+    return state, record
+
+
 def adaptive_integrate(
     s0: GridState,
     stepper,
@@ -398,62 +508,7 @@ def adaptive_integrate(
     A trial step producing non-finite values counts as an error rejection at
     half the step; the run aborts when dt falls below cfg.dt_min.
     """
-    if T <= s0.t:
-        raise ConfigurationError(f"final time {T} must exceed start time {s0.t}")
-    if dt_initial <= 0:
-        raise ConfigurationError(f"dt_initial must be positive, got {dt_initial}")
-    dt_min = cfg.dt_min if cfg.dt_min is not None else 1e-12 * (T - s0.t)
-    record = RunRecord()
-    tracker = InvariantTracker(invariants, s0) if invariants else None
-
-    state = s0
-    dt = dt_initial
-    tiny = _LANDING_REL_TOL * max(1.0, abs(T))
-    started = time.perf_counter()
-    while state.t < T - tiny:
-        if dt < dt_min:
-            raise NumericalFailureError(
-                f"step size {dt:.3e} fell below the floor {dt_min:.3e} at t={state.t:.6g}"
-            )
-        h = min(dt, T - state.t)
-        inc = stepper(state.u, h)
-        if not _finite(inc.u_next) or not _finite(inc.d2):
-            record.log(StepRow(state.t, h, float("inf"), 0.0, None, EPS_REJECTED))
-            dt = h / 2.0
-            continue
-        eps = error_estimate(inc.u_next, state.u + h * inc.d2, cfg)
-        if not eps < 1.0:
-            record.log(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
-            dt = propose_step(eps, h, cfg)
-            continue
-        if relaxer is not None:
-            out = relaxer.solve(state, inc, h)
-            if not out.converged:
-                record.log(
-                    StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
-                )
-                dt = h / 2.0
-                continue
-            state = relaxed_update(state, inc, h, out)
-            gamma_total, residual = out.gamma_total, out.residual
-        else:
-            state = state.with_u(inc.u_next, t=state.t + h)
-            gamma_total, residual = 0.0, None
-        if tracker is not None:
-            drift = tracker.update(state)
-            if residual is None:
-                residual = drift
-        if observer is not None:
-            observer(state)
-        record.log(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
-        dt = propose_step(eps, h, cfg)
-    record.runtime_seconds = time.perf_counter() - started
-    record.final_t = state.t
-    if tracker is not None:
-        drifts = tracker.drift_by_kind()
-        record.max_mass_drift = drifts.get("mass")
-        record.max_energy_drift = drifts.get("energy")
-    return state, record
+    return _integrate(s0, stepper, dt_initial, T, relaxer, cfg, invariants, observer)
 
 
 def integrate_imex(
@@ -462,67 +517,14 @@ def integrate_imex(
     dt: float,
     T: float,
     relaxer=None,
-    cfg: ControllerConfig | None = None,
     invariants=None,
-    max_halvings: int = 60,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Fixed-step ImEx march, optionally with relaxation each step.
 
     When a relaxation solve fails to converge the step is retried at half
-    the size (and the following step resumes the nominal dt).  The last
-    step's nominal size is shrunk to land on T.  The error estimate is
-    logged when a controller config is supplied, but never steers the step.
+    the size (and the following step resumes the nominal dt); after 60
+    halvings of one step the run aborts.  The last step's nominal size is
+    shrunk to land on T.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if T < s0.t:
-        raise ConfigurationError(f"final time {T} precedes current time {s0.t}")
-    record = RunRecord()
-    tracker = InvariantTracker(invariants, s0) if invariants else None
-    state = s0
-    tiny = _LANDING_REL_TOL * max(1.0, abs(T))
-    started = time.perf_counter()
-    step_index = 0
-    while state.t < T - tiny:
-        h = min(dt, T - state.t)
-        halvings = 0
-        while True:
-            inc = stepper(state.u, h)
-            step_index += 1
-            if not _finite(inc.u_next):
-                raise NumericalFailureError(f"non-finite state after step {step_index}")
-            eps = error_estimate(inc.u_next, state.u + h * inc.d2, cfg) if cfg else None
-            if relaxer is None:
-                state = state.with_u(inc.u_next, t=state.t + h)
-                gamma_total, residual = 0.0, None
-                break
-            out = relaxer.solve(state, inc, h)
-            if out.converged:
-                state = relaxed_update(state, inc, h, out)
-                gamma_total, residual = out.gamma_total, out.residual
-                break
-            record.log(
-                StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
-            )
-            halvings += 1
-            if halvings > max_halvings:
-                raise NumericalFailureError(
-                    f"relaxation failed to converge after {max_halvings} halvings "
-                    f"at t={state.t:.6g}"
-                )
-            h /= 2.0
-        if tracker is not None:
-            drift = tracker.update(state)
-            if residual is None:
-                residual = drift
-        if observer is not None:
-            observer(state)
-        record.log(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
-    record.runtime_seconds = time.perf_counter() - started
-    record.final_t = state.t
-    if tracker is not None:
-        drifts = tracker.drift_by_kind()
-        record.max_mass_drift = drifts.get("mass")
-        record.max_energy_drift = drifts.get("energy")
-    return state, record
+    return _integrate(s0, stepper, dt, T, relaxer, None, invariants, observer)

@@ -6,29 +6,21 @@ flow with fractional steps a_k, b_k, applied right to left:
     u <- e^{a_1 dt f} e^{b_1 dt g} ... e^{a_s dt f} e^{b_s dt g} u
 
 Both sub-flows are exact for any real fraction, so schemes with negative
-coefficients work unchanged.
+coefficients work unchanged.  ``integrate_splitting`` runs the step loop of
+:mod:`nlslab.relaxation` with a splitting step as its kernel, with no error
+estimate and no relaxation.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ACCEPTED,
-    ConfigurationError,
-    GridState,
-    InvariantTracker,
-    NumericalFailureError,
-    RunRecord,
-    StepRow,
-    UnsupportedBoundaryError,
-)
+from .core import ConfigurationError, GridState, RunRecord, UnsupportedBoundaryError
+from .imexrk import StepIncrements
+from .relaxation import _integrate
 from .spectral import SpectralOperator, nonlinear_flow
-
-_LANDING_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,55 +107,17 @@ def integrate_splitting(
     dt: float,
     T: float,
     invariants=None,
-    track_invariants: bool = True,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Fixed-step march to T; the last step is shortened to land exactly.
 
-    ``invariants`` is an optional list of InvariantFunctional to track; by
-    default mass (and energy, for b_coef problems with a = op.a) drift shows
-    up in the record summary and the residual column.
+    ``invariants`` is an optional list of InvariantFunctional to track; their
+    drift shows up in the record summary and the residual column.
     """
     if s0.grid.bc != "periodic":
         raise UnsupportedBoundaryError("splitting requires a periodic grid")
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if T < s0.t:
-        raise ConfigurationError(f"final time {T} precedes current time {s0.t}")
 
-    record = RunRecord()
-    tracker = None
-    if track_invariants:
-        if invariants is None:
-            from .core import energy_functional, mass_functional
+    def step(u: np.ndarray, h: float) -> StepIncrements:
+        return StepIncrements(_split_step_u(u, sch, op, b_coef, h), None, None)
 
-            invariants = [mass_functional(), energy_functional(b_coef, op.a)]
-        tracker = InvariantTracker(invariants, s0)
-
-    u = s0.u.copy()
-    t = s0.t
-    tiny = _LANDING_REL_TOL * max(1.0, abs(T))
-    step_index = 0
-    started = time.perf_counter()
-    while t < T - tiny:
-        h = min(dt, T - t)
-        u = _split_step_u(u, sch, op, b_coef, h)
-        t += h
-        step_index += 1
-        if not np.all(np.isfinite(u.view(np.float64))):
-            raise NumericalFailureError(f"non-finite state after step {step_index}")
-        residual = None
-        if tracker is not None or observer is not None:
-            state = GridState(s0.grid, u, t)
-            if tracker is not None:
-                residual = tracker.update(state)
-            if observer is not None:
-                observer(state)
-        record.log(StepRow(t, h, None, 0.0, residual, ACCEPTED))
-    record.runtime_seconds = time.perf_counter() - started
-    record.final_t = t
-    if tracker is not None:
-        drifts = tracker.drift_by_kind()
-        record.max_mass_drift = drifts.get("mass")
-        record.max_energy_drift = drifts.get("energy")
-    return GridState(s0.grid, u, t), record
+    return _integrate(s0, step, dt, T, invariants=invariants, observer=observer)

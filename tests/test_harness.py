@@ -205,9 +205,7 @@ def test_runtime_scales_with_step_count():
     sch = scheme("S2")
 
     def wall(steps):
-        _, record = integrate_splitting(
-            s0, sch, op, 1.0, 1.0 / steps, 1.0, track_invariants=False
-        )
+        _, record = integrate_splitting(s0, sch, op, 1.0, 1.0 / steps, 1.0)
         return record.runtime_seconds
 
     wall(200)  # warm the caches before timing

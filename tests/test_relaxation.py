@@ -394,3 +394,76 @@ def test_fixed_step_landing_matches_final_time():
     out, record = integrate_imex(s0, stepper, 0.03, 0.1, relaxer=relaxer)
     last_nominal = record.steps[-1].dt
     assert abs(out.t - 0.1) <= abs(record.steps[-1].gamma_total) * last_nominal + 1e-15
+
+
+def test_fixed_step_halving_cap_raises(fem_setup):
+    grid, op, un = fem_setup
+    mass = mass_functional()
+    doubled = InvariantFunctional(
+        "mass-doubled",
+        lambda s: 2.0 * mass.evaluate(s),
+        lambda s: 2.0 * mass.gradient(s),
+        lambda *args: 2.0 * mass.restrict(*args),
+    )
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
+    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    # No residual beats a zero tolerance, so every attempt is halved.  At the
+    # default tolerance the run would go on: once a step is small enough to
+    # conserve mass to 1e-12 unrelaxed, gamma = (0, 0) converges.
+    relaxer = MultiRelaxer((mass, doubled), un, tol=0.0)
+    with pytest.raises(NumericalFailureError, match="halvings"):
+        integrate_imex(un, stepper, 0.01, 1.0, relaxer=relaxer)
+
+
+def test_fixed_step_overflow_in_relaxation_halves_the_step(fem_setup):
+    # dt = 1.5 is far past stability: trial states are finite but so large
+    # that the exact sums overflow.  Such steps must be halved, not raise.
+    grid, op, un = fem_setup
+    pair = conserved_functionals(op)
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
+    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, record = integrate_imex(
+            un, stepper, 1.5, 3.0, relaxer=MultiRelaxer(pair, un), invariants=list(pair)
+        )
+    assert record.conservation_rejections > 0
+    assert record.max_mass_drift <= 1e-12
+    assert record.max_energy_drift <= 1e-12
+
+
+class _FailingOnce:
+    """Relaxer whose first solve raises ``error``; later solves delegate."""
+
+    def __init__(self, relaxer, error):
+        self.relaxer, self.error = relaxer, error
+
+    def solve(self, un, inc, dt):
+        if self.error is not None:
+            error, self.error = self.error, None
+            raise error
+        return self.relaxer.solve(un, inc, dt)
+
+
+@pytest.mark.parametrize(
+    "error", [OverflowError("intermediate overflow in fsum"), ValueError("-inf + inf in fsum")]
+)
+def test_relaxation_arithmetic_error_is_a_conservation_rejection(error):
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(1, grid)
+    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
+    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    relaxer = _FailingOnce(SingleRelaxer(mass_functional(), s0), error)
+    _, record = integrate_imex(s0, stepper, 0.05, 0.2, relaxer=relaxer)
+    assert record.conservation_rejections == 1
+    assert record.steps[0].disposition == CONSERVATION_REJECTED
+    assert record.steps[1].dt == 0.025
+
+
+def test_relaxation_configuration_error_propagates():
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(1, grid)
+    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
+    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    relaxer = _FailingOnce(SingleRelaxer(mass_functional(), s0), ConfigurationError("bad"))
+    with pytest.raises(ConfigurationError, match="bad"):
+        integrate_imex(s0, stepper, 0.05, 0.2, relaxer=relaxer)

@@ -7,6 +7,7 @@ from nlslab.core import (
     NumericalFailureError,
     discrete_mass,
     make_grid,
+    mass_functional,
 )
 from nlslab.oracles import soliton_exact, soliton_initial
 from nlslab.spectral import exact_linear_flow, spectral_operator
@@ -96,9 +97,7 @@ def test_global_convergence_orders(soliton_setup, name, order, tol):
     dts = [1 / 50, 1 / 100, 1 / 200, 1 / 400, 1 / 800]
     errors = []
     for dt in dts:
-        out, _ = integrate_splitting(
-            s0, scheme(name), op, beta, dt, 1.0, track_invariants=False
-        )
+        out, _ = integrate_splitting(s0, scheme(name), op, beta, dt, 1.0)
         errors.append(np.max(np.abs(out.u - soliton_exact(1, grid.nodes, out.t))))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope == pytest.approx(order, abs=tol)
@@ -106,7 +105,9 @@ def test_global_convergence_orders(soliton_setup, name, order, tol):
 
 def test_mass_drift_over_many_steps(soliton_setup):
     grid, op, s0, beta = soliton_setup
-    _, record = integrate_splitting(s0, scheme("S2"), op, beta, 0.01, 5.0)
+    _, record = integrate_splitting(
+        s0, scheme("S2"), op, beta, 0.01, 5.0, invariants=[mass_functional()]
+    )
     assert record.accepted == 500
     assert record.max_mass_drift <= 7e-14
 
@@ -117,9 +118,7 @@ def test_nan_propagation_is_reported():
     s0 = GridState(grid, np.full(16, 1e200, dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFailureError, match="step"):
-            integrate_splitting(
-                s0, scheme("S2"), op, 1e200, 0.1, 1.0, track_invariants=False
-            )
+            integrate_splitting(s0, scheme("S2"), op, 1e200, 0.1, 1.0)
 
 
 def test_splitting_requires_periodic_grid():
