@@ -468,7 +468,12 @@ def _integrate(
             state = relaxed_update(state, inc, h, out)
             gamma_total, residual = out.gamma_total, out.residual
         if tracker is not None:
-            drift = tracker.update(state)
+            try:
+                drift = tracker.update(state)
+            except (OverflowError, ValueError) as exc:
+                raise NumericalFailureError(
+                    f"invariant sums overflowed after step {attempts} at t={state.t:.6g}"
+                ) from exc
             if residual is None:
                 residual = drift
         if observer is not None:

@@ -11,12 +11,15 @@ differ only in the symbol:
   This is the complex view of the skew-symmetric real-pairs term
   -(a/dx^2) S of :mod:`nlslab.fem`, which stays as its reference definition.
 
-The exact sub-flows of operator splitting live here too.
+The exact sub-flows of operator splitting live here too.  A splitting run
+takes only a handful of distinct linear sub-step sizes, so each operator
+memoises its phase factors e^{dt*symbol} per exact dt, in a memo cleared
+once it holds FLOW_MEMO_SIZE factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +41,10 @@ def wavenumbers(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.dx)
 
 
+# Phase factors kept per operator: AK4 with its landing step needs six, S2 two.
+FLOW_MEMO_SIZE = 8
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
     """Periodic stiff term u -> f(u) realized as a Fourier multiplier."""
@@ -45,6 +52,7 @@ class SpectralOperator:
     grid: Grid
     a: float
     symbol: np.ndarray
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check(self, u: np.ndarray) -> None:
         if u.shape[0] != self.grid.m:
@@ -69,9 +77,20 @@ class SpectralOperator:
         return dft_inverse(ghat), dft_inverse(self.symbol * ghat)
 
     def flow(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Exact linear flow: mode-wise phase rotation e^{dt*symbol}."""
+        """Exact linear flow: mode-wise phase rotation e^{dt*symbol}.
+
+        The factor e^{dt*symbol} is memoised (read-only) per exact dt; the
+        memo is cleared when it holds FLOW_MEMO_SIZE factors.
+        """
         self._check(u)
-        return dft_inverse(np.exp(dt * self.symbol) * dft_forward(u))
+        factor = self._phases.get(dt)
+        if factor is None:
+            if len(self._phases) >= FLOW_MEMO_SIZE:
+                self._phases.clear()
+            factor = np.exp(dt * self.symbol)
+            factor.setflags(write=False)
+            self._phases[dt] = factor
+        return dft_inverse(factor * dft_forward(u))
 
 
 def _multiplier(grid: Grid, a: float, symbol: np.ndarray) -> SpectralOperator:

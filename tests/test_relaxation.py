@@ -431,6 +431,38 @@ def test_fixed_step_overflow_in_relaxation_halves_the_step(fem_setup):
     assert record.max_energy_drift <= 1e-12
 
 
+def test_fixed_step_tracker_overflow_is_a_numerical_failure(fem_setup):
+    # Unrelaxed at dt = 1.5 the state grows huge but stays finite, so the
+    # tracked invariants' exact sums overflow after an accepted step.
+    grid, op, un = fem_setup
+    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
+    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match=r"after step \d+ at t="):
+            integrate_imex(un, stepper, 1.5, 30.0, invariants=list(conserved_functionals(op)))
+
+
+@pytest.mark.parametrize(
+    "error", [OverflowError("intermediate overflow in fsum"), ValueError("-inf + inf in fsum")]
+)
+def test_tracker_arithmetic_error_names_step_and_time(error):
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(1, grid)
+    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
+    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    mass = mass_functional()
+
+    def evaluate(s):
+        if s.t > 0.1:
+            raise error
+        return mass.evaluate(s)
+
+    failing = InvariantFunctional("mass", evaluate, mass.gradient, mass.restrict)
+    with pytest.raises(NumericalFailureError, match=r"after step 3 at t=0\.15") as info:
+        integrate_imex(s0, stepper, 0.05, 0.2, invariants=[failing])
+    assert info.value.__cause__ is error
+
+
 class _FailingOnce:
     """Relaxer whose first solve raises ``error``; later solves delegate."""
 

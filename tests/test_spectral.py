@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from nlslab.core import GridState, UnsupportedBoundaryError, discrete_mass, make_grid
+from nlslab.core import (
+    GridState,
+    UnsupportedBoundaryError,
+    dft_forward,
+    dft_inverse,
+    discrete_mass,
+    make_grid,
+)
 from nlslab.spectral import (
+    FLOW_MEMO_SIZE,
+    SpectralOperator,
     exact_linear_flow,
     exact_nonlinear_flow,
     spectral_operator,
     spectral_parts,
     wavenumbers,
 )
+from nlslab.splitting import scheme
 
 
 def test_wavenumbers_values():
@@ -167,3 +177,63 @@ def test_exact_nonlinear_flow_preserves_modulus_and_mass():
     out = exact_nonlinear_flow(s, 7.5, 0.42)
     assert np.max(np.abs(np.abs(out.u) - np.abs(u))) <= 1e-15 * np.max(np.abs(u))
     assert discrete_mass(out) == pytest.approx(discrete_mass(s), rel=1e-14)
+
+
+def _flow_setup(m=256):
+    rng = np.random.default_rng(11)
+    grid = make_grid(-8, 8, m)
+    op = spectral_operator(grid, 0.5)
+    return op, rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _inline_flow(op, u, dt):
+    return dft_inverse(np.exp(dt * op.symbol) * dft_forward(u))
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.float64), y.view(np.float64))
+
+
+def test_flow_memo_is_bitwise_the_inline_flow():
+    op, u = _flow_setup()
+    h = 1 / 2000
+    ak4 = [c * h for c in scheme("AK4").a]
+    # 1-ulp neighbours must not share a factor: their flows differ in the bits.
+    neighbour = float(np.nextafter(ak4[0], 1.0))
+    assert not _same_bits(_inline_flow(op, u, ak4[0]), _inline_flow(op, u, neighbour))
+    sequence = ak4 + ak4 + [-ak4[2], neighbour, ak4[0], -ak4[2], ak4[1], ak4[2]]
+    for dt in sequence:
+        assert _same_bits(op.flow(u, dt), _inline_flow(op, u, dt)), dt
+    assert len(op._phases) == 5
+
+
+def test_flow_memo_stays_bounded_and_recomputes_after_clearing():
+    op, u = _flow_setup(64)
+    first = 0.01
+    op.flow(u, first)
+    for k in range(1, 5 * FLOW_MEMO_SIZE):
+        op.flow(u, first + k * 1e-3)
+        assert len(op._phases) <= FLOW_MEMO_SIZE
+    assert first not in op._phases
+    assert _same_bits(op.flow(u, first), _inline_flow(op, u, first))
+    assert first in op._phases
+
+
+def test_flow_memo_factors_are_read_only():
+    op, u = _flow_setup(64)
+    op.flow(u, 0.02)
+    (factor,) = op._phases.values()
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        factor[0] = 0.0
+
+
+def test_flow_memo_is_not_part_of_equality_or_repr():
+    op, u = _flow_setup(64)
+    # Separately built symbols are distinct arrays, whose == is elementwise;
+    # sharing grid and symbol isolates the memo's part in the comparison.
+    twin = SpectralOperator(op.grid, op.a, op.symbol)
+    op.flow(u, 0.02)
+    assert op._phases and not twin._phases
+    assert op == twin
+    assert "_phases" not in repr(op)
