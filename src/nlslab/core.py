@@ -136,6 +136,14 @@ class Grid:
     def x_left(self) -> float:
         return float(self.nodes[0])
 
+    def __eq__(self, other) -> bool:
+        # Written out because the generated comparison of the nodes arrays
+        # would be elementwise, whose truth value numpy refuses.
+        if not isinstance(other, Grid):
+            return NotImplemented
+        same = (self.m, self.dx, self.bc) == (other.m, other.dx, other.bc)
+        return same and np.array_equal(self.nodes, other.nodes)
+
 
 def make_grid(x_left: float, x_right: float, m: int, bc: str = PERIODIC) -> Grid:
     """Build a uniform grid on [x_left, x_right] for the given boundary kind."""

@@ -53,6 +53,17 @@ def test_grid_uniform_spacing(bc):
     assert np.max(np.abs(gaps - grid.dx)) <= 1e-14 * scale
 
 
+def test_grids_compare_by_value():
+    grid = make_grid(-8, 8, 64)
+    twin = make_grid(-8, 8, 64)
+    assert grid.nodes is not twin.nodes
+    assert grid == twin and not grid != twin
+    assert grid != make_grid(-8, 8, 32)
+    assert grid != make_grid(-8, 8.5, 64)
+    assert grid != make_grid(-8, 8, 64, bc="natural")
+    assert grid != "grid"
+
+
 def test_make_grid_rejects_bad_configs():
     with pytest.raises(ConfigurationError):
         make_grid(-1, 1, 3)

@@ -72,6 +72,24 @@ def test_propose_step_rules():
     assert propose_step(1e-30, 0.2, cfg) == pytest.approx(5 * 0.2)
 
 
+_EPS = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+
+
+@given(
+    eps=_EPS,
+    other=_EPS,
+    dt=st.floats(1e-12, 10.0),
+    safety=st.floats(0.01, 0.99),
+    order=st.integers(1, 6),
+    growth=st.floats(1.0, 10.0),
+)
+def test_propose_step_monotone_in_eps_and_capped(eps, other, dt, safety, order, growth):
+    cfg = ControllerConfig(safety=safety, embedded_order=order, max_growth=growth)
+    small, large = sorted((eps, other))
+    assert propose_step(large, dt, cfg) <= propose_step(small, dt, cfg)
+    assert propose_step(small, dt, cfg) <= growth * dt
+
+
 def _toy_state(values, length=4.0):
     values = np.asarray(values, dtype=complex)
     grid = make_grid(0, length, len(values))

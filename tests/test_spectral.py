@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nlslab.core import (
     GridState,
@@ -14,6 +16,8 @@ from nlslab.spectral import (
     SpectralOperator,
     exact_linear_flow,
     exact_nonlinear_flow,
+    fem_operator,
+    nonlinear_flow,
     spectral_operator,
     spectral_parts,
     wavenumbers,
@@ -194,6 +198,29 @@ def _same_bits(x, y):
     return np.array_equal(x.view(np.float64), y.view(np.float64))
 
 
+def _inline_rotation(u, b, dt):
+    return u * np.exp(1j * (b * dt) * (u.real**2 + u.imag**2))
+
+
+@example(seed=0, m=64, log_scale=0.0, b=1.0, dt=0.0, zeros=1.0)  # all zeros
+@example(seed=1, m=4096, log_scale=4.0, b=1.0, dt=0.3, zeros=0.1)  # phases ~1e8
+@example(seed=2, m=4096, log_scale=0.0, b=-1.0, dt=-0.25, zeros=0.0)
+@example(seed=3, m=257, log_scale=2.0, b=0.0, dt=0.5, zeros=0.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5000),
+    log_scale=st.floats(-8.0, 5.0),
+    b=st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e3]),
+    dt=st.floats(-10.0, 10.0),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_nonlinear_flow_is_bitwise_the_complex_exponential(seed, m, log_scale, b, dt, zeros):
+    rng = np.random.default_rng(seed)
+    u = 10.0**log_scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    u[rng.random(m) < zeros] = 0.0
+    assert _same_bits(nonlinear_flow(u, b, dt), _inline_rotation(u, b, dt))
+
+
 def test_flow_memo_is_bitwise_the_inline_flow():
     op, u = _flow_setup()
     h = 1 / 2000
@@ -230,10 +257,20 @@ def test_flow_memo_factors_are_read_only():
 
 def test_flow_memo_is_not_part_of_equality_or_repr():
     op, u = _flow_setup(64)
-    # Separately built symbols are distinct arrays, whose == is elementwise;
-    # sharing grid and symbol isolates the memo's part in the comparison.
+    # Sharing grid and symbol isolates the memo's part in the comparison.
     twin = SpectralOperator(op.grid, op.a, op.symbol)
     op.flow(u, 0.02)
     assert op._phases and not twin._phases
     assert op == twin
     assert "_phases" not in repr(op)
+
+
+def test_operators_compare_by_value():
+    op = spectral_operator(make_grid(-8, 8, 64), 1.0)
+    twin = spectral_operator(make_grid(-8, 8, 64), 1.0)
+    assert op.symbol is not twin.symbol and op.grid is not twin.grid
+    assert op == twin and not op != twin
+    assert op != spectral_operator(make_grid(-8, 8, 32), 1.0)
+    assert op != spectral_operator(op.grid, 0.5)
+    assert op != fem_operator(op.grid, 1.0)
+    assert op != "operator"
