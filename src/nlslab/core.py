@@ -14,7 +14,7 @@ the polynomial restrictions of the invariants (:func:`family_coefficients`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -113,8 +113,33 @@ def exact_dot(x: np.ndarray, y: np.ndarray) -> float:
     return _extraction_sum(np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class Grid:
+class ValueEquality:
+    """Value equality and hashing for frozen dataclasses with array fields.
+
+    The generated comparison would compare the arrays elementwise, whose
+    truth value numpy refuses.  Here every field with ``compare=True`` must
+    be equal, arrays by ``np.array_equal``, and the hash covers the fields
+    that are not arrays, so equal objects hash alike.  Decorate with
+    ``eq=False`` so the dataclass keeps these methods.
+    """
+
+    def _compared(self):
+        return [getattr(self, f.name) for f in fields(self) if f.compare]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._compared(), other._compared())
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(v for v in self._compared() if not isinstance(v, np.ndarray)))
+
+
+@dataclass(frozen=True, eq=False)
+class Grid(ValueEquality):
     """Uniform 1-D grid.
 
     Periodic grids exclude the duplicate right endpoint, so ``dx = L/m``;
@@ -135,14 +160,6 @@ class Grid:
     @property
     def x_left(self) -> float:
         return float(self.nodes[0])
-
-    def __eq__(self, other) -> bool:
-        # Written out because the generated comparison of the nodes arrays
-        # would be elementwise, whose truth value numpy refuses.
-        if not isinstance(other, Grid):
-            return NotImplemented
-        same = (self.m, self.dx, self.bc) == (other.m, other.dx, other.bc)
-        return same and np.array_equal(self.nodes, other.nodes)
 
 
 def make_grid(x_left: float, x_right: float, m: int, bc: str = PERIODIC) -> Grid:

@@ -4,7 +4,10 @@ The implicit part is a diagonally implicit scheme applied to the stiff
 linear dispersion term; the explicit part handles the pointwise cubic term.
 Both parts share the abscissae and weights.  Because the stiff term is
 linear in every discretization used here, each implicit stage reduces to a
-single shifted linear solve, which the stiff-part adapter supplies.
+single shifted linear solve, which the stiff-part adapter supplies.  A
+step stores its stage derivatives interleaved (k_im_0, k_ex_0, k_im_1, ...)
+in one array, so each stage right-hand side and the pair of increments are
+one matrix-vector product each.
 
 Tableau coefficients are embedded as exact rational literals and validated
 by the order-condition evaluator below; the evaluator, not the
@@ -13,22 +16,23 @@ transcription, is what the tests trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, GridState, NumericalFailureError
+from .core import ConfigurationError, GridState, NumericalFailureError, ValueEquality
 
 
-@dataclass(frozen=True)
-class ImExTableau:
+@dataclass(frozen=True, eq=False)
+class ImExTableau(ValueEquality):
     """Coefficients of an additive pair with shared abscissae and weights.
 
     ``a_im`` is lower triangular (nonzero diagonal allowed), ``a_ex``
     strictly lower triangular.  ``b_main`` carries the order-p weights and
     ``b_embedded`` the order-q companion used for error estimation and as a
-    second relaxation direction.
+    second relaxation direction.  The derived ``stage_rows`` (a_im, a_ex)
+    and ``increment_rows`` (b_main, b_embedded) interleave them per stage.
     """
 
     name: str
@@ -40,6 +44,8 @@ class ImExTableau:
     b_embedded: np.ndarray
     order: int
     embedded_order: int
+    stage_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    increment_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, mat in (("implicit", self.a_im), ("explicit", self.a_ex)):
@@ -55,6 +61,9 @@ class ImExTableau:
         for label, mat in (("implicit", self.a_im), ("explicit", self.a_ex)):
             if np.max(np.abs(mat.sum(axis=1) - self.c)) > 1e-14:
                 raise ConfigurationError(f"{label} row sums do not match abscissae")
+        rows = np.stack([self.a_im, self.a_ex], axis=2).reshape(self.s, -1)
+        object.__setattr__(self, "stage_rows", rows)
+        object.__setattr__(self, "increment_rows", np.repeat([self.b_main, self.b_embedded], 2, 1))
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -207,47 +216,37 @@ class StepIncrements:
     d2: np.ndarray
 
 
-def imex_step(s, t: ImExTableau, dt: float, fim, fex) -> StepIncrements:
+def imex_step(s, t: ImExTableau, dt: float, fim, fex, *, _stages=None) -> StepIncrements:
     """One additive RK step from state ``s`` (GridState or plain vector).
 
     ``fim`` must provide ``apply(u)`` and ``solve(rhs, mu)`` (the inverse of
     I - mu*f); an optional fused ``solve_and_apply`` is used when present.
     ``fex`` is the explicit right-hand side callable.  Stages with zero
     implicit diagonal skip the solve entirely.
+
+    The 2s stage derivatives fill one (2s, m) scratch array K (``_stages``
+    if given): on its float64 view stage i's right-hand side is
+    ``u + (dt*t.stage_rows[i, :2i]) @ K[:2i]``; d1, d2 are ``t.increment_rows @ K``.
     """
-    u = s.u if isinstance(s, GridState) else np.asarray(s)
+    u = np.ascontiguousarray(s.u if isinstance(s, GridState) else s)
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    n = t.s
-    k_im = [None] * n
-    k_ex = [None] * n
+    stages = np.empty((2 * t.s, *u.shape), u.dtype) if _stages is None else _stages
+    flat = stages.view(np.float64)
     fused = getattr(fim, "solve_and_apply", None)
-    for i in range(n):
-        rhs = u.copy()
-        for j in range(i):
-            if t.a_im[i, j] != 0.0:
-                rhs += (dt * t.a_im[i, j]) * k_im[j]
-            if t.a_ex[i, j] != 0.0:
-                rhs += (dt * t.a_ex[i, j]) * k_ex[j]
+    for i in range(t.s):
+        rhs = (u.view(np.float64) + (dt * t.stage_rows[i, : 2 * i]) @ flat[: 2 * i]).view(u.dtype)
         mu = dt * t.a_im[i, i]
         try:
-            if mu == 0.0:
-                g = rhs
-                k_im[i] = fim.apply(g)
-            elif fused is not None:
-                g, k_im[i] = fused(rhs, mu)
+            if mu != 0.0 and fused is not None:
+                g, k_im = fused(rhs, mu)
             else:
-                g = fim.solve(rhs, mu)
-                k_im[i] = fim.apply(g)
+                g = rhs if mu == 0.0 else fim.solve(rhs, mu)
+                k_im = fim.apply(g)
         except Exception as exc:  # noqa: BLE001 - reported with stage context
             raise NumericalFailureError(f"stage {i + 1} solve failed: {exc}") from exc
-        k_ex[i] = fex(g)
-    d1 = np.zeros_like(u)
-    d2 = np.zeros_like(u)
-    for j in range(n):
-        ksum = k_im[j] + k_ex[j]
-        if t.b_main[j] != 0.0:
-            d1 += t.b_main[j] * ksum
-        if t.b_embedded[j] != 0.0:
-            d2 += t.b_embedded[j] * ksum
+        stages[2 * i] = k_im
+        stages[2 * i + 1] = fex(g)
+    # Two products: one (2, 2m) result exceeds a 128 KiB mmap threshold at m=4480.
+    d1, d2 = ((w @ flat).view(u.dtype) for w in t.increment_rows)
     return StepIncrements(u_next=u + dt * d1, d1=d1, d2=d2)

@@ -148,6 +148,14 @@ def _smallest_magnitude_root(a: float, b: float, c: float) -> float | None:
     return min(roots, key=lambda r: (abs(r), -np.sign(r)))
 
 
+def _relaxed_vector(inc: StepIncrements, dt: float, gamma1, gamma2=0.0) -> np.ndarray:
+    """u_next + dt*(gamma1*d1 + gamma2*d2), the one formula for a relaxed
+    state: the solvers measure their residuals on exactly the vector that
+    :func:`relaxed_update` accepts."""
+    step = gamma1 * inc.d1 if gamma2 == 0.0 else gamma1 * inc.d1 + gamma2 * inc.d2
+    return inc.u_next + dt * step
+
+
 def relax_single(
     un: GridState,
     inc: StepIncrements,
@@ -161,14 +169,20 @@ def relax_single(
     For the quadratic mass functional the equation is solved in closed form
     (smallest-magnitude real root, ties toward positive) and then polished
     against the measured functional; other invariants use a safeguarded
-    scalar Newton iteration started at zero.
+    scalar Newton iteration started at zero.  Without a real root the
+    outcome is gamma1 = 0 with its measured residual, converged if that
+    residual beats the tolerance.
     """
     if target is None:
         target = inv.evaluate(un)
     dx = un.grid.dx
 
     def measured(gamma: float) -> float:
-        return inv.evaluate(un.with_u(inc.u_next + (dt * gamma) * inc.d1)) - target
+        return inv.evaluate(un.with_u(_relaxed_vector(inc, dt, gamma))) - target
+
+    def outcome(gamma: float, residual: float, iterations: int) -> RelaxationOutcome:
+        r = abs(residual)
+        return RelaxationOutcome(gamma, 0.0, gamma, r, iterations, r < conservation_tol)
 
     if inv.kind == "mass":
         un1 = inc.u_next
@@ -181,8 +195,8 @@ def relax_single(
         c_coef = dx * s_uu - target
         gamma = _smallest_magnitude_root(a_coef, b_coef, c_coef)
         if gamma is None:
-            return RelaxationOutcome(0.0, 0.0, 0.0, abs(c_coef), 0, False)
-        best_gamma, best_r = gamma, abs(measured(gamma))
+            return outcome(0.0, measured(0.0), 0)
+        best_gamma, best_res = gamma, measured(gamma)
         iterations = 0
         # Newton polish on the measured functional: the closed form solves
         # the analytic quadratic, whose coefficients carry summation noise.
@@ -190,43 +204,36 @@ def relax_single(
             slope = 2.0 * dx * dt * (s_ud + best_gamma * dt * s_dd)
             if slope == 0.0:
                 break
-            candidate = best_gamma - measured(best_gamma) / slope
-            r = abs(measured(candidate))
+            candidate = best_gamma - best_res / slope
+            res = measured(candidate)
             iterations += 1
-            if r < best_r:
-                best_gamma, best_r = candidate, r
+            if abs(res) < abs(best_res):
+                best_gamma, best_res = candidate, res
             else:
                 break
-        return RelaxationOutcome(
-            best_gamma, 0.0, best_gamma, best_r, iterations, best_r < conservation_tol
-        )
+        return outcome(best_gamma, best_res, iterations)
 
     d1_pairs = as_real_pairs(inc.d1)
-    gamma = 0.0
-    best_gamma, best_r = gamma, abs(measured(gamma))
+    gamma, res = 0.0, measured(0.0)
     for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        state = un.with_u(inc.u_next + (dt * gamma) * inc.d1)
+        state = un.with_u(_relaxed_vector(inc, dt, gamma))
         slope = dt * exact_dot(inv.gradient(state), d1_pairs)
         if slope == 0.0:
             break
-        step = -measured(gamma) / slope
+        step = -res / slope
         lam = 1.0
-        improved = False
         for _ in range(_MAX_DAMPING_HALVINGS):
             candidate = gamma + lam * step
-            r = abs(measured(candidate))
-            if r < best_r:
-                gamma, best_gamma, best_r = candidate, candidate, r
-                improved = True
+            r = measured(candidate)
+            if abs(r) < abs(res):
+                gamma, res = candidate, r
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
     else:
         iteration = _MAX_NEWTON_ITERATIONS
-    return RelaxationOutcome(
-        best_gamma, 0.0, best_gamma, best_r, iteration, best_r < conservation_tol
-    )
+    return outcome(gamma, res, iteration)
 
 
 def _damped_newton(residual, jacobian, gamma, r, norm, max_iterations, damp_below=np.inf):
@@ -278,7 +285,7 @@ def relax_multi(
         targets = (f1.evaluate(un), f2.evaluate(un))
 
     def measured(gamma: np.ndarray) -> tuple[np.ndarray, float]:
-        state = un.with_u(inc.u_next + dt * (gamma[0] * inc.d1 + gamma[1] * inc.d2))
+        state = un.with_u(_relaxed_vector(inc, dt, *gamma))
         r = np.array([f1.evaluate(state) - targets[0], f2.evaluate(state) - targets[1]])
         return r, float(np.hypot(*r))
 
@@ -326,7 +333,7 @@ def relaxed_update(
     """Apply the relaxed update; time advances by (1 + gamma_total) * dt."""
     if not out.converged:
         raise ConfigurationError("relaxed_update called with a non-converged outcome")
-    u = inc.u_next + dt * (out.gamma1 * inc.d1 + out.gamma2 * inc.d2)
+    u = _relaxed_vector(inc, dt, out.gamma1, out.gamma2)
     return un.with_u(u, t=un.t + (1.0 + out.gamma_total) * dt)
 
 
@@ -371,10 +378,21 @@ class MultiRelaxer:
 
 
 def make_imex_stepper(tab: ImExTableau, fim, fex):
-    """Bind a tableau and semi-discretization into a (u, dt) -> increments stepper."""
+    """Bind a tableau and semi-discretization into a (u, dt) -> increments stepper.
+
+    The stepper allocates imex_step's stage array on its first step and
+    reuses it for every later step on vectors of the same shape and dtype;
+    the increments it returns are fresh arrays.  The stage array is 860 KB
+    at m=4480: where blocks that large are mapped afresh (glibc's initial
+    mmap threshold is 128 KiB), one per step would page-fault on every step.
+    """
+    stages = np.empty(0)
 
     def stepper(u: np.ndarray, dt: float) -> StepIncrements:
-        return imex_step(u, tab, dt, fim, fex)
+        nonlocal stages
+        if stages.shape[1:] != u.shape or stages.dtype != u.dtype:
+            stages = np.empty((2 * tab.s, *u.shape), u.dtype)
+        return imex_step(u, tab, dt, fim, fex, _stages=stages)
 
     return stepper
 

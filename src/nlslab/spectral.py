@@ -29,6 +29,7 @@ from .core import (
     Grid,
     GridState,
     UnsupportedBoundaryError,
+    ValueEquality,
     dft_forward,
     dft_inverse,
 )
@@ -49,21 +50,17 @@ def wavenumbers(grid: Grid) -> np.ndarray:
 FLOW_MEMO_SIZE = 8
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
-    """Periodic stiff term u -> f(u) realized as a Fourier multiplier."""
+@dataclass(frozen=True, eq=False)
+class SpectralOperator(ValueEquality):
+    """Periodic stiff term u -> f(u) realized as a Fourier multiplier.
+
+    Equal by value on grid, a and symbol; the phase memo is a cache.
+    """
 
     grid: Grid
     a: float
     symbol: np.ndarray
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __eq__(self, other) -> bool:
-        # Value equality on grid, a and symbol; the phase memo is a cache.
-        if not isinstance(other, SpectralOperator):
-            return NotImplemented
-        same = (self.grid, self.a) == (other.grid, other.a)
-        return same and np.array_equal(self.symbol, other.symbol)
 
     def _check(self, u: np.ndarray) -> None:
         if u.shape[0] != self.grid.m:

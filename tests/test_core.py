@@ -58,6 +58,7 @@ def test_grids_compare_by_value():
     twin = make_grid(-8, 8, 64)
     assert grid.nodes is not twin.nodes
     assert grid == twin and not grid != twin
+    assert hash(grid) == hash(twin) and {grid: "fine"}[twin] == "fine"
     assert grid != make_grid(-8, 8, 32)
     assert grid != make_grid(-8, 8.5, 64)
     assert grid != make_grid(-8, 8, 64, bc="natural")

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nlslab import relaxation
 from nlslab.core import ConfigurationError, make_grid
 from nlslab.imexrk import ImExTableau, imex_step, order_conditions_residual, tableau
 from nlslab.oracles import soliton_exact, soliton_initial
 from nlslab.relaxation import integrate_imex, make_imex_stepper
-from nlslab.spectral import spectral_operator, spectral_parts
+from nlslab.spectral import fem_operator, spectral_operator, spectral_parts
 
 
 def test_registry_shapes():
@@ -32,6 +35,28 @@ def test_order_conditions(name):
     assert order_conditions_residual(t, t.order) <= 1e-12
     assert order_conditions_residual(t, t.embedded_order, weights="embedded") <= 1e-12
     assert order_conditions_residual(t, t.order + 1) > 1e-3
+
+
+def test_tableaus_compare_and_hash_by_value():
+    t4, twin = tableau("ImEx4"), tableau("ImEx4")
+    assert t4.a_im is not twin.a_im
+    assert t4 == twin and not t4 != twin
+    assert hash(t4) == hash(twin) and {t4: "ImEx4"}[twin] == "ImEx4"
+    assert t4 != tableau("ImEx3")
+    # Same name and orders, other weights: equal hashes, unequal values.
+    swapped = dataclasses.replace(t4, b_embedded=t4.b_main)
+    assert hash(swapped) == hash(t4) and swapped != t4
+    assert t4 != "ImEx4"
+    assert "stage_rows" not in repr(t4) and "increment_rows" not in repr(t4)
+
+
+@pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
+def test_interleaved_rows_hold_the_tableau(name):
+    t = tableau(name)
+    assert np.array_equal(t.stage_rows[:, 0::2], t.a_im)
+    assert np.array_equal(t.stage_rows[:, 1::2], t.a_ex)
+    for rows in (t.increment_rows[:, 0::2], t.increment_rows[:, 1::2]):
+        assert np.array_equal(rows, [t.b_main, t.b_embedded])
 
 
 def test_order_conditions_forward_euler_pair():
@@ -158,3 +183,66 @@ def test_embedded_difference_order(soliton_setup, name):
         norms.append(np.linalg.norm(inc.d1 - inc.d2))
     slope = np.polyfit(np.log(dts), np.log(norms), 1)[0]
     assert slope >= t.embedded_order - 0.3
+
+
+def _per_term_step(u, t, dt, fim, fex):
+    """One ImEx step summed term by term, written independently of imex_step."""
+    k_im, k_ex = [], []
+    for i in range(t.s):
+        rhs = u.copy()
+        for j in range(i):
+            rhs = rhs + (dt * t.a_im[i, j]) * k_im[j] + (dt * t.a_ex[i, j]) * k_ex[j]
+        mu = dt * t.a_im[i, i]
+        g = rhs if mu == 0.0 else fim.solve(rhs, mu)
+        k_im.append(fim.apply(g))
+        k_ex.append(fex(g))
+    d1 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_main, k_im, k_ex))
+    d2 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_embedded, k_im, k_ex))
+    return u + dt * d1, d1, d2
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.01])
+@pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
+@pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
+def test_stage_kernel_matches_per_term_reference(name, make_operator, dt):
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(2, grid)
+    stiff, nonstiff = spectral_parts(make_operator(grid, 1.0), beta)
+    t = tableau(name)
+    inc = imex_step(s0, t, dt, stiff, nonstiff)
+    u_next, d1, d2 = _per_term_step(s0.u, t, dt, stiff, nonstiff)
+    # The stage derivatives grow like 1/dt at the stiff modes; dt*d is on
+    # the scale of the state, as the update u + dt*d1 uses it.
+    ulps = 10 * np.finfo(float).eps * np.max(np.abs(s0.u))
+    assert np.max(np.abs(inc.u_next - u_next)) <= ulps
+    assert dt * np.max(np.abs(inc.d1 - d1)) <= ulps
+    assert dt * np.max(np.abs(inc.d2 - d2)) <= ulps
+
+
+@pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
+def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, monkeypatch):
+    grid, s0, stiff, nonstiff = soliton_setup
+    t = tableau(name)
+    passed = []
+
+    def recording_step(*args, _stages=None):
+        passed.append(_stages)
+        return imex_step(*args, _stages=_stages)
+
+    monkeypatch.setattr(relaxation, "imex_step", recording_step)
+    stepper = make_imex_stepper(t, stiff, nonstiff)
+    first = stepper(s0.u, 0.01)
+    kept = [first.u_next.copy(), first.d1.copy(), first.d2.copy()]
+    second = stepper(first.u_next, 0.02)
+    assert passed[0] is not None and passed[1] is passed[0]
+    for array, copy in zip((first.u_next, first.d1, first.d2), kept):
+        assert np.array_equal(array, copy)
+    # The reused stage array gives what a step with its own array gives.
+    alone = imex_step(first.u_next, t, 0.02, stiff, nonstiff)
+    for a, b in zip((second.u_next, second.d1, second.d2), (alone.u_next, alone.d1, alone.d2)):
+        assert np.array_equal(a, b)
+    # Vectors of another length or dtype get a stage array that fits them.
+    rotate = make_imex_stepper(t, _ZeroPart(), lambda g: -0.5 * g)
+    for u in (np.arange(4.0), np.arange(6.0), np.arange(6.0) + 1j):
+        expected = imex_step(u, t, 0.1, _ZeroPart(), lambda g: -0.5 * g).u_next
+        assert np.array_equal(rotate(u, 0.1).u_next, expected)

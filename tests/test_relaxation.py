@@ -122,6 +122,19 @@ def test_relax_single_no_real_root_reports_failure():
     assert not out.converged
 
 
+@pytest.mark.parametrize("tol,converged", [(1e-12, True), (1e-16, False)])
+def test_relax_single_without_a_root_measures_gamma_zero(tol, converged):
+    # d1 is orthogonal to u_next, so the mass only grows along it; a u_next
+    # one ulp above the target mass leaves the quadratic without a real root.
+    un = _toy_state([1.0, 0, 0, 0])  # dx = 1, mass 1
+    inc = _increments([1.0 + 2.0**-52, 0, 0, 0], [0.0, 1.0, 0, 0])
+    mass = mass_functional()
+    out = relax_single(un, inc, 1.0, mass, conservation_tol=tol)
+    assert (out.gamma1, out.gamma_total, out.iterations) == (0.0, 0.0, 0)
+    assert out.residual == mass.evaluate(un.with_u(inc.u_next)) - 1.0 == 2.0**-51
+    assert out.converged is converged
+
+
 def test_relax_single_newton_path_matches_closed_form():
     # run the generic safeguarded Newton on the mass functional by disguising
     # its kind; it must land on the same root the closed form picks
@@ -265,6 +278,40 @@ def test_relax_multi_residual_is_measured_at_the_returned_gamma(fem_setup):
         assert out.gamma1 != 0.0 and out.gamma2 != 0.0
         r = _measured_residual(un, inc, dt, pair, goal, out.gamma1, out.gamma2)
         assert out.residual == float(np.hypot(*r))
+
+
+def test_relax_single_residual_is_measured_at_the_accepted_state():
+    grid = make_grid(-35, 35, 256)
+    s0, beta = soliton_initial(2, grid)
+    parts = spectral_parts(spectral_operator(grid, 1.0), beta)
+    stepper = make_imex_stepper(tableau("ImEx4"), *parts)
+    mass = mass_functional()
+    measured = []
+
+    def evaluate(state):
+        measured.append(state)
+        return mass.evaluate(state)
+
+    counted = InvariantFunctional("mass", evaluate, mass.gradient, mass.restrict)
+    target, dt, state = mass.evaluate(s0), 0.01, s0
+    # Over 300 steps, building the measured state as u_next + (dt*gamma)*d1
+    # but accepting u_next + dt*(gamma*d1) gave 5 accepted states that no
+    # measurement had seen.
+    for _ in range(300):
+        inc = stepper(state.u, dt)
+        # A mass 1 below its value is out of reach along d1: the attempt
+        # fails at gamma = 0, measured there.
+        missed = relax_single(state, inc, dt, mass, target - 1.0)
+        assert not missed.converged and missed.gamma1 == 0.0
+        assert missed.residual == abs(mass.evaluate(state.with_u(inc.u_next)) - target + 1.0)
+        measured.clear()
+        out = relax_single(state, inc, dt, counted, target)
+        assert out.converged and out.gamma1 != 0.0
+        # One measurement at the closed-form root, one per polish step.
+        assert len(measured) == 1 + out.iterations
+        state = relaxed_update(state, inc, dt, out)
+        assert any(np.array_equal(seen.u, state.u) for seen in measured)
+        assert out.residual == abs(mass.evaluate(state) - target)
 
 
 @pytest.mark.filterwarnings("ignore:The iteration is not making good progress")

@@ -270,6 +270,9 @@ def test_operators_compare_by_value():
     twin = spectral_operator(make_grid(-8, 8, 64), 1.0)
     assert op.symbol is not twin.symbol and op.grid is not twin.grid
     assert op == twin and not op != twin
+    assert hash(op) == hash(twin) and {op: "sp"}[twin] == "sp"
+    # Same grid and coefficient, another symbol: equal hashes, unequal values.
+    assert hash(fem_operator(op.grid, 1.0)) == hash(op)
     assert op != spectral_operator(make_grid(-8, 8, 32), 1.0)
     assert op != spectral_operator(op.grid, 0.5)
     assert op != fem_operator(op.grid, 1.0)
