@@ -42,15 +42,9 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Fixed numerical tolerances, one source of truth for code and tests."""
+    """Default numerical tolerances of the solvers."""
 
-    dft_roundtrip: float = 1e-13
-    linearity: float = 1e-12
-    gradient_fd: float = 1e-6
-    stage_residual: float = 1e-11
     conservation: float = 1e-12
-    tableau_order: float = 1e-12
-    boundary_decay: float = 1e-14
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -197,7 +191,6 @@ class Problem:
     b: float
     ic: str
     bc: str = PERIODIC
-    ic_params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if not self.x_left < self.x_right:
@@ -206,9 +199,6 @@ class Problem:
             )
         if self.bc not in BOUNDARY_KINDS:
             raise ConfigurationError(f"unknown boundary kind {self.bc!r}")
-
-    def grid(self, m: int) -> Grid:
-        return make_grid(self.x_left, self.x_right, m, self.bc)
 
 
 @dataclass

@@ -12,6 +12,11 @@ per-run JSON record (step log plus summary) per method into a sibling
 ``<stem>_runs`` directory.  Output is deterministic for a fixed config and
 seed, excluding the runtime columns.
 
+The five scenario runners share one setup (:func:`_setup`, whose helpers
+also build the semiclassical fine-mesh reference) and one failure path
+(:func:`_guarded`: a run that raises leaves a ``nan`` row with the exception
+text as its diagnosis); convergence and work-precision are one dt sweep.
+
 Every scenario grid is periodic, so the ``SP-``/``FEM-`` prefix only picks
 the symbol of the Fourier-multiplier stiff operator
 (:func:`nlslab.spectral.spectral_operator` or
@@ -21,10 +26,10 @@ ImEx path and one (mass, energy) pair from :mod:`nlslab.core`.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +57,12 @@ from .relaxation import (
 from .spectral import fem_operator, spectral_operator, spectral_parts
 
 
+_NAN = float("nan")
+_DEFAULT_DTS = (1 / 25, 1 / 50, 1 / 100, 1 / 200, 1 / 400)
+
+
 class FitError(ValueError):
     """Growth-exponent fit was requested on unusable data."""
-
-
-SCENARIOS = (
-    "convergence",
-    "invariant_table",
-    "error_growth",
-    "work_precision",
-    "semiclassical",
-)
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,10 @@ class ExperimentConfig:
 _LIST_SPLIT = re.compile(r"[;\s]+")
 
 
+def _list_of(parse):
+    return lambda v: tuple(parse(p) for p in _LIST_SPLIT.split(v.strip()) if p)
+
+
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
@@ -177,10 +181,7 @@ def _parse_bool(text: str) -> bool:
 _KEY_PARSERS = {
     "scenario": ("scenario", str.strip),
     "method": ("methods", lambda v: (parse_method(v),)),
-    "methods": (
-        "methods",
-        lambda v: tuple(parse_method(p) for p in _LIST_SPLIT.split(v.strip()) if p),
-    ),
+    "methods": ("methods", _list_of(parse_method)),
     "nsolitons": ("n_solitons", lambda v: int(v)),
     "n": ("n_solitons", lambda v: int(v)),
     "eps": ("eps", _parse_number),
@@ -188,16 +189,10 @@ _KEY_PARSERS = {
     "m": ("m", lambda v: int(v)),
     "dx": ("dx", _parse_number),
     "dt": ("dt", _parse_number),
-    "dts": (
-        "dts",
-        lambda v: tuple(_parse_number(p) for p in _LIST_SPLIT.split(v.strip()) if p),
-    ),
+    "dts": ("dts", _list_of(_parse_number)),
     "T": ("T", _parse_number),
     "tol": ("tol", _parse_number),
-    "t_out": (
-        "t_out",
-        lambda v: tuple(_parse_number(p) for p in _LIST_SPLIT.split(v.strip()) if p),
-    ),
+    "t_out": ("t_out", _list_of(_parse_number)),
     "out": ("out", str.strip),
     "format": ("fmt", str.strip),
     "seed": ("seed", lambda v: int(v)),
@@ -274,12 +269,6 @@ def config_echo(cfg: ExperimentConfig) -> dict:
 # run machinery
 
 
-def _problem_for(cfg: ExperimentConfig) -> Problem:
-    if cfg.is_semiclassical:
-        return oracles.semiclassical_problem(cfg.eps)
-    return oracles.soliton_problem(cfg.n_solitons)
-
-
 def _grid_for(cfg: ExperimentConfig, problem: Problem) -> Grid:
     length = problem.x_right - problem.x_left
     if cfg.m is not None:
@@ -300,6 +289,16 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> GridState:
         return oracles.semiclassical_initial(cfg.phase, cfg.eps, grid)
     state, _ = oracles.soliton_initial(cfg.n_solitons, grid)
     return state
+
+
+def _setup(cfg: ExperimentConfig) -> tuple[Problem, Grid, GridState]:
+    """The problem, grid and initial state every scenario starts from."""
+    if cfg.is_semiclassical:
+        problem = oracles.semiclassical_problem(cfg.eps)
+    else:
+        problem = oracles.soliton_problem(cfg.n_solitons)
+    grid = _grid_for(cfg, problem)
+    return problem, grid, _initial_state(cfg, grid)
 
 
 def run_method(
@@ -355,8 +354,9 @@ def _soliton_error(cfg: ExperimentConfig, state: GridState) -> float:
 class SemiclassicalReference:
     """Fine-mesh reference, advanced on demand to each run's recorded time.
 
-    Starts from the initial data sampled on the fine grid and integrates
-    incrementally, caching states so ascending query times reuse work.
+    Starts from the runs' own initial data (same ``phase``) sampled on the
+    fine grid and integrates incrementally, caching states so ascending
+    query times reuse work.
     """
 
     def __init__(self, cfg: ExperimentConfig, problem: Problem):
@@ -365,7 +365,7 @@ class SemiclassicalReference:
         dt = cfg.dt if cfg.dt is not None else 1.0 / 100
         self.dt_ref = cfg.dt_ref if cfg.dt_ref is not None else dt / 20.0
         self.problem = problem
-        base = oracles.reference_solution(problem, self.dt_ref, self.dx_ref, 0.0)
+        base = _initial_state(cfg, _grid_for(replace(cfg, m=None, dx=self.dx_ref), problem))
         self._states: dict[float, GridState] = {base.t: base}
         self._op = spectral_operator(base.grid, problem.a)
 
@@ -425,20 +425,30 @@ class ScenarioResult:
     extra_tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
 
 
+_SPECTRAL_METHODS = ("SP-S2", "SP-AK4", "SP-ImEx3", "SP-ImEx3(R)", "SP-ImEx4", "SP-ImEx4(R)")
+_DEFAULT_METHODS = {
+    "convergence": _SPECTRAL_METHODS,
+    "invariant_table": _SPECTRAL_METHODS,
+    "error_growth": ("FEM-ImEx4", "FEM-ImEx4(MR)(EC)"),
+    "work_precision": ("SP-S2", "SP-AK4", "SP-ImEx4", "SP-ImEx4(R)"),
+    "semiclassical": ("SP-S2", "SP-AK4", "SP-ImEx4", "SP-ImEx4(R)", "SP-ImEx4(R)(EC)"),
+}
+
+
 def _default_methods(cfg: ExperimentConfig) -> tuple[MethodSpec, ...]:
     if cfg.methods:
         return cfg.methods
-    if cfg.scenario == "convergence":
-        names = ["SP-S2", "SP-AK4", "SP-ImEx3", "SP-ImEx3(R)", "SP-ImEx4", "SP-ImEx4(R)"]
-    elif cfg.scenario == "invariant_table":
-        names = ["SP-S2", "SP-AK4", "SP-ImEx3", "SP-ImEx3(R)", "SP-ImEx4", "SP-ImEx4(R)"]
-    elif cfg.scenario == "error_growth":
-        names = ["FEM-ImEx4", "FEM-ImEx4(MR)(EC)"]
-    elif cfg.scenario == "work_precision":
-        names = ["SP-S2", "SP-AK4", "SP-ImEx4", "SP-ImEx4(R)"]
-    else:
-        names = ["SP-S2", "SP-AK4", "SP-ImEx4", "SP-ImEx4(R)", "SP-ImEx4(R)(EC)"]
-    return tuple(parse_method(n) for n in names)
+    return tuple(parse_method(n) for n in _DEFAULT_METHODS[cfg.scenario])
+
+
+def _guarded(result: ScenarioResult, failed_row: list, run) -> None:
+    """Call ``run()``, which appends its own rows to ``result``; if it raises,
+    append ``failed_row`` with the exception text as its diagnosis.  Rows a
+    failed ``run()`` appended before raising are kept."""
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - recorded as a failed row
+        result.rows.append(failed_row + [str(exc)])
 
 
 def _growth_default_dt(cfg: ExperimentConfig, method: MethodSpec) -> float:
@@ -451,35 +461,43 @@ def _growth_default_dt(cfg: ExperimentConfig, method: MethodSpec) -> float:
     return 0.01
 
 
+def _dt_sweep(cfg: ExperimentConfig, fourth: str, dts, T: float) -> ScenarioResult:
+    """One fixed-step run per (method, dt), scored against the exact soliton.
+    With ``fourth="runtime"`` the fourth column is the run's runtime, and a
+    semiclassical config is scored against the fine-mesh reference; with
+    ``fourth="slope"`` it is the method's fitted convergence slope."""
+    problem, grid, s0 = _setup(cfg)
+    timed = fourth == "runtime"
+    if timed and cfg.is_semiclassical:
+        error_of = SemiclassicalReference(cfg, problem).error
+    else:
+        error_of = functools.partial(_soliton_error, cfg)
+    result = ScenarioResult(["method", "dt", "error", fourth, "diagnosis"], [])
+    for method in _default_methods(cfg):
+        first = len(result.rows)
+        for dt in dts:
+
+            def run():
+                state, record = run_method(method, problem, grid, s0, dt, T, cfg)
+                record.final_error = err = error_of(state)
+                result.records[f"{method.label}_dt={dt:.6g}"] = record
+                runtime = record.runtime_seconds if timed else None
+                result.rows.append([method.label, dt, err, runtime, ""])
+
+            _guarded(result, [method.label, dt, _NAN, _NAN if timed else None], run)
+        if not timed:
+            rows = result.rows[first:]
+            slope = _tail_slope([row[1] for row in rows], [row[2] for row in rows])
+            for row in rows:
+                row[3] = slope
+    return result
+
+
 def run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
     """Fixed-step dt sweep; max-norm error at T against the exact solution."""
-    problem = _problem_for(cfg)
-    grid = _grid_for(cfg, problem)
-    s0 = _initial_state(cfg, grid)
     T = cfg.T if cfg.T is not None else 1.0
     dts = cfg.dts or (cfg.dt,) if cfg.dt else cfg.dts
-    if not dts:
-        dts = (1 / 25, 1 / 50, 1 / 100, 1 / 200, 1 / 400)
-    result = ScenarioResult(["method", "dt", "error", "slope", "diagnosis"], [])
-    for method in _default_methods(cfg):
-        errors: list[float] = []
-        rows_here: list[list] = []
-        for dt in dts:
-            try:
-                state, record = run_method(method, problem, grid, s0, dt, T, cfg)
-                err = _soliton_error(cfg, state)
-                record.final_error = err
-                result.records[f"{method.label}_dt={dt:.6g}"] = record
-                rows_here.append([method.label, dt, err, None, ""])
-                errors.append(err)
-            except Exception as exc:  # noqa: BLE001 - recorded as a failed row
-                rows_here.append([method.label, dt, float("nan"), None, str(exc)])
-                errors.append(float("nan"))
-        slope = _tail_slope(dts, errors)
-        for row in rows_here:
-            row[3] = slope
-        result.rows.extend(rows_here)
-    return result
+    return _dt_sweep(cfg, "slope", dts or _DEFAULT_DTS, T)
 
 
 def _tail_slope(dts, errors) -> float:
@@ -505,105 +523,62 @@ def _tail_slope(dts, errors) -> float:
 
 def run_invariant_table(cfg: ExperimentConfig) -> ScenarioResult:
     """Max invariant drifts and runtimes at a fixed starting step size."""
-    problem = _problem_for(cfg)
-    grid = _grid_for(cfg, problem)
-    s0 = _initial_state(cfg, grid)
+    problem, grid, s0 = _setup(cfg)
     dt = cfg.dt if cfg.dt is not None else 0.01
     T = cfg.T if cfg.T is not None else 5.0
     result = ScenarioResult(
         ["method", "max_mass_drift", "max_energy_drift", "runtime", "diagnosis"], []
     )
     for method in _default_methods(cfg):
-        try:
+
+        def run():
             state, record = run_method(method, problem, grid, s0, dt, T, cfg)
             if not cfg.is_semiclassical:
                 record.final_error = _soliton_error(cfg, state)
             result.records[method.label] = record
-            result.rows.append(
-                [
-                    method.label,
-                    record.max_mass_drift,
-                    record.max_energy_drift,
-                    record.runtime_seconds,
-                    "",
-                ]
-            )
-        except Exception as exc:  # noqa: BLE001
-            result.rows.append(
-                [method.label, float("nan"), float("nan"), float("nan"), str(exc)]
-            )
+            drifts = [record.max_mass_drift, record.max_energy_drift]
+            result.rows.append([method.label, *drifts, record.runtime_seconds, ""])
+
+        _guarded(result, [method.label, _NAN, _NAN, _NAN], run)
     return result
 
 
 def run_error_growth(cfg: ExperimentConfig) -> ScenarioResult:
     """Error against the exact solution over time, with a fitted growth rate."""
-    problem = _problem_for(cfg)
-    grid = _grid_for(cfg, problem)
-    s0 = _initial_state(cfg, grid)
+    problem, grid, s0 = _setup(cfg)
     T = cfg.T if cfg.T is not None else 20.0
     result = ScenarioResult(["method", "t", "error", "exponent", "diagnosis"], [])
     for method in _default_methods(cfg):
-        dt = _growth_default_dt(cfg, method)
-        sampler = ErrorSampler(lambda s: _soliton_error(cfg, s), cfg.samples)
-        try:
+
+        def run():
+            sampler = ErrorSampler(functools.partial(_soliton_error, cfg), cfg.samples)
+            dt = _growth_default_dt(cfg, method)
             _, record = run_method(method, problem, grid, s0, dt, T, cfg, observer=sampler)
             if sampler.rows:
                 record.final_error = sampler.rows[-1][1]
             result.records[method.label] = record
             try:
-                exponent = fit_growth_exponent(
-                    sampler.rows, (cfg.fit_t_min, cfg.fit_t_max)
-                )
+                exponent = fit_growth_exponent(sampler.rows, (cfg.fit_t_min, cfg.fit_t_max))
             except FitError:
-                exponent = float("nan")
+                exponent = _NAN
             for t, err in sampler.rows:
                 result.rows.append([method.label, t, err, exponent, ""])
-        except Exception as exc:  # noqa: BLE001
-            result.rows.append(
-                [method.label, float("nan"), float("nan"), float("nan"), str(exc)]
-            )
+
+        _guarded(result, [method.label, _NAN, _NAN, _NAN], run)
     return result
 
 
 def run_work_precision(cfg: ExperimentConfig) -> ScenarioResult:
     """Error and wall-clock runtime per (method, dt) over a dt sweep."""
-    problem = _problem_for(cfg)
-    grid = _grid_for(cfg, problem)
-    s0 = _initial_state(cfg, grid)
     T = cfg.T if cfg.T is not None else (0.8 if cfg.is_semiclassical else 1.0)
-    dts = cfg.dts
-    if not dts:
-        dts = tuple(1.0 / n for n in (25, 50, 100, 200, 400))
-    reference = SemiclassicalReference(cfg, problem) if cfg.is_semiclassical else None
-    result = ScenarioResult(["method", "dt", "error", "runtime", "diagnosis"], [])
-    for method in _default_methods(cfg):
-        for dt in dts:
-            try:
-                state, record = run_method(method, problem, grid, s0, dt, T, cfg)
-                err = (
-                    reference.error(state)
-                    if reference is not None
-                    else _soliton_error(cfg, state)
-                )
-                record.final_error = err
-                result.records[f"{method.label}_dt={dt:.6g}"] = record
-                result.rows.append(
-                    [method.label, dt, err, record.runtime_seconds, ""]
-                )
-            except Exception as exc:  # noqa: BLE001
-                result.rows.append(
-                    [method.label, dt, float("nan"), float("nan"), str(exc)]
-                )
-    return result
+    return _dt_sweep(cfg, "runtime", cfg.dts or _DEFAULT_DTS, T)
 
 
 def run_semiclassical(cfg: ExperimentConfig) -> ScenarioResult:
     """Density profiles at requested times plus an error/runtime table."""
     if not cfg.is_semiclassical:
         raise ConfigurationError("semiclassical scenario requires the 'eps' key")
-    problem = _problem_for(cfg)
-    grid = _grid_for(cfg, problem)
-    s0 = _initial_state(cfg, grid)
+    problem, grid, s0 = _setup(cfg)
     if cfg.t_out:
         t_out = cfg.t_out
     elif cfg.eps < 0.1 and not cfg.full_scale:
@@ -611,28 +586,23 @@ def run_semiclassical(cfg: ExperimentConfig) -> ScenarioResult:
     else:
         t_out = (0.8,)
     dt = cfg.dt if cfg.dt is not None else 1.0 / 100
-    T = max(t_out)
     reference = SemiclassicalReference(cfg, problem)
     result = ScenarioResult(["method", "t", "error", "runtime", "diagnosis"], [])
     density_rows: list[list] = []
     for method in _default_methods(cfg):
-        state = s0
-        runtime = 0.0
-        try:
+
+        def run():
+            state, runtime = s0, 0.0
             for t_stop in sorted(t_out):
                 state, record = run_method(method, problem, grid, state, dt, t_stop, cfg)
                 runtime += record.runtime_seconds
-                err = reference.error(state)
-                record.final_error = err
+                record.final_error = err = reference.error(state)
                 result.records[f"{method.label}_t={t_stop:.6g}"] = record
                 result.rows.append([method.label, t_stop, err, runtime, ""])
                 rho = oracles.density(state)
-                for x, value in zip(grid.nodes, rho):
-                    density_rows.append([method.label, t_stop, x, value])
-        except Exception as exc:  # noqa: BLE001
-            result.rows.append(
-                [method.label, float("nan"), float("nan"), float("nan"), str(exc)]
-            )
+                density_rows.extend([method.label, t_stop, x, v] for x, v in zip(grid.nodes, rho))
+
+        _guarded(result, [method.label, _NAN, _NAN, _NAN], run)
     result.extra_tables["density"] = (["method", "t", "x", "density"], density_rows)
     return result
 
@@ -644,6 +614,9 @@ _RUNNERS = {
     "work_precision": run_work_precision,
     "semiclassical": run_semiclassical,
 }
+
+
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
@@ -672,15 +645,19 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
 STEP_COLUMNS = ["t", "dt", "eps", "Gamma", "residual", "disposition"]
 
 
+def _step_rows(record: RunRecord) -> list[list]:
+    return [
+        [row.t, row.dt, row.eps, row.gamma_total, row.residual, row.disposition]
+        for row in record.steps
+    ]
+
+
 def _record_payload(record: RunRecord, echo: dict | None) -> dict:
     return {
         "config": echo,
         "summary": record.summary(),
         "step_columns": STEP_COLUMNS,
-        "steps": [
-            [row.t, row.dt, row.eps, row.gamma_total, row.residual, row.disposition]
-            for row in record.steps
-        ],
+        "steps": _step_rows(record),
     }
 
 
@@ -698,11 +675,7 @@ def emit(record: RunRecord, path, fmt: str = "csv", echo: dict | None = None) ->
         return path
     if fmt != "csv":
         raise ConfigurationError(f"unknown output format {fmt!r}")
-    rows = [
-        [row.t, row.dt, row.eps, row.gamma_total, row.residual, row.disposition]
-        for row in record.steps
-    ]
-    _write_csv(path, STEP_COLUMNS, rows)
+    _write_csv(path, STEP_COLUMNS, _step_rows(record))
     summary = record.summary()
     summary_path = path.with_name(path.stem + "_summary.csv")
     _write_csv(summary_path, list(summary), [list(summary.values())])

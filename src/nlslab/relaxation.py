@@ -7,13 +7,12 @@ coefficients (gamma1, gamma2) so the updated solution
     u_next + dt * (gamma1 * d1 + gamma2 * d2)
 
 restores the chosen invariants exactly, and time advances by
-(1 + gamma1 + gamma2) * dt.  Single relaxation (gamma2 = 0) enforces one
-invariant; for the quadratic mass functional the defining equation is a
-scalar quadratic solved in closed form.  Multiple relaxation enforces mass
-and energy together.  Along the family they are polynomials in (gamma1,
-gamma2), so Newton runs on their exact coefficients before a short polish
-against the measured functionals (Ketcheson, SINUM 57(6) 2019; Biswas and
-Ketcheson on multiple relaxation).
+(1 + gamma1 + gamma2) * dt.  Single relaxation (gamma2 = 0) enforces the
+mass, whose defining equation is a scalar quadratic solved in closed form.
+Multiple relaxation enforces mass and energy together.  Along the family
+they are polynomials in (gamma1, gamma2), so Newton runs on their exact
+coefficients before a short polish against the measured functionals
+(Ketcheson, SINUM 57(6) 2019; Biswas and Ketcheson on multiple relaxation).
 
 Numerical care: every run enforces the invariants against their *initial*
 values (equivalent to matching the previous step in exact arithmetic, by
@@ -47,8 +46,7 @@ from .core import (
     NumericalFailureError,
     RunRecord,
     StepRow,
-    as_real_pairs,
-    exact_dot,
+    exact_dot,  # noqa: F401 - unused here, but bench/spans.py wraps relaxation.exact_dot
     exact_sum,
 )
 from .imexrk import ImExTableau, StepIncrements, imex_step
@@ -164,15 +162,16 @@ def relax_single(
     target: float | None = None,
     conservation_tol: float = DEFAULT_TOLERANCES.conservation,
 ) -> RelaxationOutcome:
-    """Find gamma1 restoring a single invariant along direction d1.
+    """Find gamma1 restoring the mass along direction d1.
 
-    For the quadratic mass functional the equation is solved in closed form
+    The mass is quadratic along d1, so the equation is solved in closed form
     (smallest-magnitude real root, ties toward positive) and then polished
-    against the measured functional; other invariants use a safeguarded
-    scalar Newton iteration started at zero.  Without a real root the
-    outcome is gamma1 = 0 with its measured residual, converged if that
-    residual beats the tolerance.
+    against the measured functional.  Without a real root the outcome is
+    gamma1 = 0 with its measured residual, converged if that residual beats
+    the tolerance.  An invariant of any other kind is refused.
     """
+    if inv.kind != "mass":
+        raise ConfigurationError(f"single relaxation enforces the mass, not {inv.kind!r}")
     if target is None:
         target = inv.evaluate(un)
     dx = un.grid.dx
@@ -184,56 +183,33 @@ def relax_single(
         r = abs(residual)
         return RelaxationOutcome(gamma, 0.0, gamma, r, iterations, r < conservation_tol)
 
-    if inv.kind == "mass":
-        un1 = inc.u_next
-        d = inc.d1
-        s_uu = exact_sum(un1.real**2 + un1.imag**2)
-        s_ud = exact_sum(un1.real * d.real + un1.imag * d.imag)
-        s_dd = exact_sum(d.real**2 + d.imag**2)
-        a_coef = dx * dt * dt * s_dd
-        b_coef = 2.0 * dx * dt * s_ud
-        c_coef = dx * s_uu - target
-        gamma = _smallest_magnitude_root(a_coef, b_coef, c_coef)
-        if gamma is None:
-            return outcome(0.0, measured(0.0), 0)
-        best_gamma, best_res = gamma, measured(gamma)
-        iterations = 0
-        # Newton polish on the measured functional: the closed form solves
-        # the analytic quadratic, whose coefficients carry summation noise.
-        for _ in range(4):
-            slope = 2.0 * dx * dt * (s_ud + best_gamma * dt * s_dd)
-            if slope == 0.0:
-                break
-            candidate = best_gamma - best_res / slope
-            res = measured(candidate)
-            iterations += 1
-            if abs(res) < abs(best_res):
-                best_gamma, best_res = candidate, res
-            else:
-                break
-        return outcome(best_gamma, best_res, iterations)
-
-    d1_pairs = as_real_pairs(inc.d1)
-    gamma, res = 0.0, measured(0.0)
-    for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        state = un.with_u(_relaxed_vector(inc, dt, gamma))
-        slope = dt * exact_dot(inv.gradient(state), d1_pairs)
+    un1 = inc.u_next
+    d = inc.d1
+    s_uu = exact_sum(un1.real**2 + un1.imag**2)
+    s_ud = exact_sum(un1.real * d.real + un1.imag * d.imag)
+    s_dd = exact_sum(d.real**2 + d.imag**2)
+    a_coef = dx * dt * dt * s_dd
+    b_coef = 2.0 * dx * dt * s_ud
+    c_coef = dx * s_uu - target
+    gamma = _smallest_magnitude_root(a_coef, b_coef, c_coef)
+    if gamma is None:
+        return outcome(0.0, measured(0.0), 0)
+    best_gamma, best_res = gamma, measured(gamma)
+    iterations = 0
+    # Newton polish on the measured functional: the closed form solves
+    # the analytic quadratic, whose coefficients carry summation noise.
+    for _ in range(4):
+        slope = 2.0 * dx * dt * (s_ud + best_gamma * dt * s_dd)
         if slope == 0.0:
             break
-        step = -res / slope
-        lam = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            candidate = gamma + lam * step
-            r = measured(candidate)
-            if abs(r) < abs(res):
-                gamma, res = candidate, r
-                break
-            lam *= 0.5
+        candidate = best_gamma - best_res / slope
+        res = measured(candidate)
+        iterations += 1
+        if abs(res) < abs(best_res):
+            best_gamma, best_res = candidate, res
         else:
             break
-    else:
-        iteration = _MAX_NEWTON_ITERATIONS
-    return outcome(gamma, res, iteration)
+    return outcome(best_gamma, best_res, iterations)
 
 
 def _damped_newton(residual, jacobian, gamma, r, norm, max_iterations, damp_below=np.inf):
@@ -338,7 +314,7 @@ def relaxed_update(
 
 
 class SingleRelaxer:
-    """Enforces one invariant against its value at the start of the run."""
+    """Enforces the mass against its value at the start of the run."""
 
     def __init__(
         self,
@@ -349,7 +325,6 @@ class SingleRelaxer:
         self.functional = functional
         self.target = functional.evaluate(s0)
         self.tol = tol
-        self.functionals = [functional]
 
     def solve(self, un: GridState, inc: StepIncrements, dt: float) -> RelaxationOutcome:
         return relax_single(
@@ -369,7 +344,6 @@ class MultiRelaxer:
         self.pair = functionals
         self.targets = (functionals[0].evaluate(s0), functionals[1].evaluate(s0))
         self.tol = tol
-        self.functionals = list(functionals)
 
     def solve(self, un: GridState, inc: StepIncrements, dt: float) -> RelaxationOutcome:
         return relax_multi(
@@ -433,7 +407,7 @@ def _integrate(
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if T < s0.t or (controller is not None and T == s0.t):
+    if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
     if controller is not None:
         dt_min = controller.dt_min if controller.dt_min is not None else 1e-12 * (T - s0.t)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlslab.core import ConfigurationError, GridState, RunRecord, StepRow, make_grid
+from nlslab import harness
+from nlslab.core import (
+    ConfigurationError,
+    GridState,
+    NumericalFailureError,
+    RunRecord,
+    StepRow,
+    make_grid,
+)
 from nlslab.harness import (
     ExperimentConfig,
     FitError,
@@ -228,6 +237,105 @@ def test_semiclassical_density_at_t_zero(tmp_path):
         assert row[3] == expected  # exactly |initial data|^2
     err_rows = [r for r in result.rows if r[1] == 0.0]
     assert err_rows[0][2] <= 1e-12
+
+
+def test_semiclassical_reference_starts_from_the_runs_phase(tmp_path):
+    # the fine reference samples the same varying-phase data as the runs, so
+    # a run compared at t=0 is compared with itself
+    cfg = parse_config(
+        "scenario=semiclassical, method=SP-S2, eps=0.2, dx=1/16, dt=1/50, "
+        "phase=varying_phase, t_out=0 0.1, dx_ref=1/64, dt_ref=1/400, "
+        f"out={tmp_path}/vary.csv"
+    )
+    rows = run_scenario(cfg).rows
+    assert [row[1] for row in rows] == [0.0, 0.1]
+    assert rows[0][2] <= 1e-12
+    assert rows[1][2] < 1e-3
+
+
+def test_semiclassical_adaptive_method_reports_t_zero(tmp_path):
+    # a zero-length adaptive run returns its start state, as fixed-step runs do
+    cfg = parse_config(
+        "scenario=semiclassical, method=SP-ImEx4(R)(EC), eps=0.2, dx=1/16, dt=1/50, "
+        f"t_out=0 0.1, dx_ref=1/64, dt_ref=1/400, out={tmp_path}/ec.csv"
+    )
+    rows = run_scenario(cfg).rows
+    assert [(row[1], row[4]) for row in rows] == [(0.0, ""), (0.1, "")]
+    assert rows[0][2] <= 1e-12
+
+
+_SMALL = "methods=SP-S2 SP-ImEx3, nsolitons=1, m=448, T=0.1"
+_SWEEP = _SMALL + ", dts=1/10 1/20 1/40 1/80"
+_NAN = "nan"
+
+
+def _shape(row):
+    return [_NAN if isinstance(v, float) and math.isnan(v) else v for v in row]
+
+
+def _fail_run_method(monkeypatch, should_fail):
+    """Make harness.run_method raise on the calls that ``should_fail(label, T,
+    call number)`` picks; returns the (label, T) of every call."""
+    original = harness.run_method
+    calls = []
+
+    def failing(method, problem, grid, s0, dt, T, *args, **kwargs):
+        calls.append((method.label, T))
+        if should_fail(method.label, T, len(calls)):
+            raise NumericalFailureError("forced failure")
+        return original(method, problem, grid, s0, dt, T, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_method", failing)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario, config, failed_row, other_methods",
+    [
+        ("convergence", _SWEEP, ["SP-S2", 0.1, _NAN, "slope"], {"SP-S2", "SP-ImEx3"}),
+        ("work_precision", _SWEEP, ["SP-S2", 0.1, _NAN, _NAN], {"SP-S2", "SP-ImEx3"}),
+        ("invariant_table", _SMALL + ", dt=1/20", ["SP-S2", _NAN, _NAN, _NAN], {"SP-ImEx3"}),
+        ("error_growth", _SMALL + ", dt=1/20", ["SP-S2", _NAN, _NAN, _NAN], {"SP-ImEx3"}),
+    ],
+    ids=["convergence", "work_precision", "invariant_table", "error_growth"],
+)
+def test_failed_run_leaves_a_failed_row(
+    monkeypatch, tmp_path, scenario, config, failed_row, other_methods
+):
+    calls = _fail_run_method(monkeypatch, lambda label, T, n: n == 1)
+    cfg = parse_config(f"scenario={scenario}, {config}, out={tmp_path}/f.csv")
+    result = run_scenario(cfg)
+    rows = [_shape(row) for row in result.rows]
+    if failed_row[3] == "slope":
+        # the method's slope is fitted on its other rows and shared by all
+        slope = rows[1][3]
+        assert isinstance(slope, float) and 1.5 < slope < 2.5
+        failed_row = failed_row[:3] + [slope]
+    assert rows[0] == failed_row + ["forced failure"]
+    assert {row[0] for row in rows[1:]} == other_methods
+    assert all(row[4] == "" for row in rows[1:])
+    assert len(result.records) == len(calls) - 1
+
+
+def test_semiclassical_failure_keeps_the_earlier_output_times(monkeypatch, tmp_path):
+    _fail_run_method(monkeypatch, lambda label, T, n: (label, T) == ("SP-S2", 0.1))
+    cfg = parse_config(
+        "scenario=semiclassical, methods=SP-S2 SP-AK4, eps=0.2, dx=1/16, dt=1/50, "
+        f"t_out=0.05 0.1, dx_ref=1/64, dt_ref=1/400, out={tmp_path}/semi.csv"
+    )
+    result = run_scenario(cfg)
+    rows = [_shape(row) for row in result.rows]
+    assert [row[:2] for row in rows] == [
+        ["SP-S2", 0.05], ["SP-S2", _NAN], ["SP-AK4", 0.05], ["SP-AK4", 0.1]
+    ]
+    assert rows[1] == ["SP-S2", _NAN, _NAN, _NAN, "forced failure"]
+    assert all(row[4] == "" and row[2] < 1e-2 for row in rows if row is not rows[1])
+    _, density = result.extra_tables["density"]
+    assert sorted({(row[0], row[1]) for row in density}) == [
+        ("SP-AK4", 0.05), ("SP-AK4", 0.1), ("SP-S2", 0.05)
+    ]
+    assert len(density) == 3 * 256
+    assert sorted(result.records) == ["SP-AK4_t=0.05", "SP-AK4_t=0.1", "SP-S2_t=0.05"]
 
 
 def test_config_echo_lists_methods():

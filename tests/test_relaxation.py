@@ -135,19 +135,17 @@ def test_relax_single_without_a_root_measures_gamma_zero(tol, converged):
     assert out.converged is converged
 
 
-def test_relax_single_newton_path_matches_closed_form():
-    # run the generic safeguarded Newton on the mass functional by disguising
-    # its kind; it must land on the same root the closed form picks
-    rng = np.random.default_rng(1)
-    un = _toy_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    d1 = 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    inc = _increments(un.u + 0.05 * d1, d1)
+def test_relax_single_refuses_invariants_other_than_mass():
+    # single relaxation is the closed-form mass quadratic; an invariant of
+    # another kind has no solver behind it
+    un = _toy_state([1.0, 1j, -2.0, 0.5])
+    inc = _increments(un.u, [0.3, -1j, 0.0, 2.0])
     mass = mass_functional()
-    disguised = InvariantFunctional("quartic-ish", mass.evaluate, mass.gradient, mass.restrict)
-    closed = relax_single(un, inc, 0.05, mass)
-    newton = relax_single(un, inc, 0.05, disguised)
-    assert closed.converged and newton.converged
-    assert newton.gamma1 == pytest.approx(closed.gamma1, abs=1e-11)
+    other = InvariantFunctional("energy", mass.evaluate, mass.gradient, mass.restrict)
+    with pytest.raises(ConfigurationError, match="enforces the mass"):
+        relax_single(un, inc, 0.1, other)
+    with pytest.raises(ConfigurationError, match="enforces the mass"):
+        SingleRelaxer(other, un).solve(un, inc, 0.1)
 
 
 def test_relaxed_update_identity_and_full_backoff():
@@ -554,6 +552,23 @@ def test_relaxation_arithmetic_error_is_a_conservation_rejection(error):
     assert record.conservation_rejections == 1
     assert record.steps[0].disposition == CONSERVATION_REJECTED
     assert record.steps[1].dt == 0.025
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_zero_length_run_returns_the_start_state(controlled):
+    # fixed-step and adaptive runs agree: T equal to the start time takes no
+    # step and returns s0 unchanged
+    grid = make_grid(-35, 35, 128)
+    s0, beta = soliton_initial(1, grid)
+    parts = spectral_parts(spectral_operator(grid, 1.0), beta)
+    stepper = make_imex_stepper(tableau("ImEx3"), *parts)
+    relaxer = SingleRelaxer(mass_functional(), s0)
+    if controlled:
+        state, record = adaptive_integrate(s0, stepper, relaxer, ControllerConfig(), 0.0, 0.05)
+    else:
+        state, record = integrate_imex(s0, stepper, 0.05, 0.0, relaxer=relaxer)
+    assert state.t == 0.0 and np.array_equal(state.u, s0.u)
+    assert record.steps == [] and record.final_t == 0.0
 
 
 def test_relaxation_configuration_error_propagates():
