@@ -461,14 +461,16 @@ def _growth_default_dt(cfg: ExperimentConfig, method: MethodSpec) -> float:
     return 0.01
 
 
-def _dt_sweep(cfg: ExperimentConfig, fourth: str, dts, T: float) -> ScenarioResult:
-    """One fixed-step run per (method, dt), scored against the exact soliton.
-    With ``fourth="runtime"`` the fourth column is the run's runtime, and a
-    semiclassical config is scored against the fine-mesh reference; with
+def _dt_sweep(cfg: ExperimentConfig, fourth: str, T: float) -> ScenarioResult:
+    """One fixed-step run per (method, dt), over ``dts``, else the one
+    ``dt``, else the default sweep.  A semiclassical config is scored against
+    the fine-mesh reference, any other against the exact soliton.  With
+    ``fourth="runtime"`` the fourth column is the run's runtime; with
     ``fourth="slope"`` it is the method's fitted convergence slope."""
     problem, grid, s0 = _setup(cfg)
     timed = fourth == "runtime"
-    if timed and cfg.is_semiclassical:
+    dts = cfg.dts or ((cfg.dt,) if cfg.dt else _DEFAULT_DTS)
+    if cfg.is_semiclassical:
         error_of = SemiclassicalReference(cfg, problem).error
     else:
         error_of = functools.partial(_soliton_error, cfg)
@@ -494,10 +496,10 @@ def _dt_sweep(cfg: ExperimentConfig, fourth: str, dts, T: float) -> ScenarioResu
 
 
 def run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
-    """Fixed-step dt sweep; max-norm error at T against the exact solution."""
+    """Fixed-step dt sweep; max-norm error at T against the exact solution
+    (the fine-mesh reference on a semiclassical config)."""
     T = cfg.T if cfg.T is not None else 1.0
-    dts = cfg.dts or (cfg.dt,) if cfg.dt else cfg.dts
-    return _dt_sweep(cfg, "slope", dts or _DEFAULT_DTS, T)
+    return _dt_sweep(cfg, "slope", T)
 
 
 def _tail_slope(dts, errors) -> float:
@@ -571,7 +573,7 @@ def run_error_growth(cfg: ExperimentConfig) -> ScenarioResult:
 def run_work_precision(cfg: ExperimentConfig) -> ScenarioResult:
     """Error and wall-clock runtime per (method, dt) over a dt sweep."""
     T = cfg.T if cfg.T is not None else (0.8 if cfg.is_semiclassical else 1.0)
-    return _dt_sweep(cfg, "runtime", cfg.dts or _DEFAULT_DTS, T)
+    return _dt_sweep(cfg, "runtime", T)
 
 
 def run_semiclassical(cfg: ExperimentConfig) -> ScenarioResult:

@@ -4,10 +4,19 @@ The implicit part is a diagonally implicit scheme applied to the stiff
 linear dispersion term; the explicit part handles the pointwise cubic term.
 Both parts share the abscissae and weights.  Because the stiff term is
 linear in every discretization used here, each implicit stage reduces to a
-single shifted linear solve, which the stiff-part adapter supplies.  A
-step stores its stage derivatives interleaved (k_im_0, k_ex_0, k_im_1, ...)
-in one array, so each stage right-hand side and the pair of increments are
-one matrix-vector product each.
+single shifted linear solve.  A step stores its stage derivatives
+interleaved (k_im_0, k_ex_0, k_im_1, ...) in one array, so each stage
+right-hand side and the pair of increments are one matrix-vector product
+each.
+
+The stages run in the stiff part's own basis.  A Fourier multiplier
+(:class:`~nlslab.spectral.SpectralOperator`) carries them as DFT
+coefficients: the shifted solve is a divide by 1 - mu*symbol, f is a
+multiply by the symbol, and only the explicit cubic term and the two
+increments go through physical space, so an ImEx4 step takes 14 DFTs and
+an ImEx3 step 10 (Kennedy and Carpenter, Appl. Numer. Math. 44, 2003).
+Any other stiff part supplies ``apply(u)`` and ``solve(rhs, mu)`` in state
+space.
 
 Tableau coefficients are embedded as exact rational literals and validated
 by the order-condition evaluator below; the evaluator, not the
@@ -21,7 +30,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .core import ConfigurationError, GridState, NumericalFailureError, ValueEquality
+from .spectral import SpectralOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,37 +227,59 @@ class StepIncrements:
     d2: np.ndarray
 
 
+def _same(v: np.ndarray) -> np.ndarray:
+    return v
+
+
 def imex_step(s, t: ImExTableau, dt: float, fim, fex, *, _stages=None) -> StepIncrements:
     """One additive RK step from state ``s`` (GridState or plain vector).
 
-    ``fim`` must provide ``apply(u)`` and ``solve(rhs, mu)`` (the inverse of
-    I - mu*f); an optional fused ``solve_and_apply`` is used when present.
-    ``fex`` is the explicit right-hand side callable.  Stages with zero
-    implicit diagonal skip the solve entirely.
+    ``fim`` is the stiff part.  A :class:`SpectralOperator` runs the stages
+    on DFT coefficients; any other part must provide ``apply(u)`` and
+    ``solve(rhs, mu)`` (the inverse of I - mu*f), and its stages stay in
+    state space.  ``fex`` is the explicit right-hand side callable.  Stages
+    with zero implicit diagonal skip the solve entirely, and a zero-diagonal
+    first stage evaluates ``fex`` at ``u`` itself.
 
     The 2s stage derivatives fill one (2s, m) scratch array K (``_stages``
-    if given): on its float64 view stage i's right-hand side is
-    ``u + (dt*t.stage_rows[i, :2i]) @ K[:2i]``; d1, d2 are ``t.increment_rows @ K``.
+    if given and of the stage dtype): on its float64 view stage i's
+    right-hand side is ``û + (dt*t.stage_rows[i, :2i]) @ K[:2i]``, with û
+    the state in the stage basis; d1, d2 are ``t.increment_rows @ K``
+    brought back to state space.
     """
     u = np.ascontiguousarray(s.u if isinstance(s, GridState) else s)
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    stages = np.empty((2 * t.s, *u.shape), u.dtype) if _stages is None else _stages
+    if isinstance(fim, SpectralOperator):
+        # Looked up per call, so a tracer that wraps them counts every DFT.
+        forward, inverse = spectral.dft_forward, spectral.dft_inverse
+        symbol, shifted = fim.symbol, fim.shifted
+
+        def solve(rhat, mu):
+            return rhat / shifted(mu)
+
+        def apply(ghat):
+            return symbol * ghat
+
+    else:
+        forward = inverse = _same
+        solve, apply = fim.solve, fim.apply
+    uhat = forward(u)
+    stages = _stages
+    if stages is None or stages.dtype != uhat.dtype:
+        stages = np.empty((2 * t.s, *uhat.shape), uhat.dtype)
     flat = stages.view(np.float64)
-    fused = getattr(fim, "solve_and_apply", None)
     for i in range(t.s):
-        rhs = (u.view(np.float64) + (dt * t.stage_rows[i, : 2 * i]) @ flat[: 2 * i]).view(u.dtype)
+        rhs = uhat.view(np.float64) + (dt * t.stage_rows[i, : 2 * i]) @ flat[: 2 * i]
+        rhs = rhs.view(uhat.dtype)
         mu = dt * t.a_im[i, i]
         try:
-            if mu != 0.0 and fused is not None:
-                g, k_im = fused(rhs, mu)
-            else:
-                g = rhs if mu == 0.0 else fim.solve(rhs, mu)
-                k_im = fim.apply(g)
+            ghat = rhs if mu == 0.0 else solve(rhs, mu)
+            stages[2 * i] = apply(ghat)
         except Exception as exc:  # noqa: BLE001 - reported with stage context
             raise NumericalFailureError(f"stage {i + 1} solve failed: {exc}") from exc
-        stages[2 * i] = k_im
-        stages[2 * i + 1] = fex(g)
+        g = u if i == 0 and mu == 0.0 else inverse(ghat)
+        stages[2 * i + 1] = forward(fex(g))
     # Two products: one (2, 2m) result exceeds a 128 KiB mmap threshold at m=4480.
-    d1, d2 = ((w @ flat).view(u.dtype) for w in t.increment_rows)
+    d1, d2 = (inverse((w @ flat).view(uhat.dtype)) for w in t.increment_rows)
     return StepIncrements(u_next=u + dt * d1, d1=d1, d2=d2)

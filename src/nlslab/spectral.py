@@ -14,7 +14,9 @@ differ only in the symbol:
 The exact sub-flows of operator splitting live here too.  A splitting run
 takes only a handful of distinct linear sub-step sizes, so each operator
 memoises its phase factors e^{dt*symbol} per exact dt, in a memo cleared
-once it holds FLOW_MEMO_SIZE factors.
+once it holds FLOW_MEMO_SIZE factors.  The shifted denominators
+1 - mu*symbol of the implicit ImEx stages (one mu per step size) are
+memoised the same way.
 """
 
 from __future__ import annotations
@@ -54,13 +56,15 @@ FLOW_MEMO_SIZE = 8
 class SpectralOperator(ValueEquality):
     """Periodic stiff term u -> f(u) realized as a Fourier multiplier.
 
-    Equal by value on grid, a and symbol; the phase memo is a cache.
+    Equal by value on grid, a and symbol; the phase and shift memos are
+    caches.
     """
 
     grid: Grid
     a: float
     symbol: np.ndarray
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check(self, u: np.ndarray) -> None:
         if u.shape[0] != self.grid.m:
@@ -73,32 +77,42 @@ class SpectralOperator(ValueEquality):
         self._check(u)
         return dft_inverse(self.symbol * dft_forward(u))
 
+    def shifted(self, mu: float) -> np.ndarray:
+        """The mode-wise matrix 1 - mu*symbol of I - mu*f (memoised per mu)."""
+        return _memoised(self._shifts, mu, lambda: 1.0 - mu * self.symbol)
+
     def solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
         """g with (I - mu*f) g = rhs, solved mode-wise."""
         self._check(rhs)
-        return dft_inverse(dft_forward(rhs) / (1.0 - mu * self.symbol))
+        return dft_inverse(dft_forward(rhs) / self.shifted(mu))
 
     def solve_and_apply(self, rhs: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Shifted solve plus f evaluated at the solution, sharing one DFT."""
         self._check(rhs)
-        ghat = dft_forward(rhs) / (1.0 - mu * self.symbol)
+        ghat = dft_forward(rhs) / self.shifted(mu)
         return dft_inverse(ghat), dft_inverse(self.symbol * ghat)
 
     def flow(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Exact linear flow: mode-wise phase rotation e^{dt*symbol}.
 
-        The factor e^{dt*symbol} is memoised (read-only) per exact dt; the
-        memo is cleared when it holds FLOW_MEMO_SIZE factors.
+        The factor e^{dt*symbol} is memoised per exact dt.
         """
         self._check(u)
-        factor = self._phases.get(dt)
-        if factor is None:
-            if len(self._phases) >= FLOW_MEMO_SIZE:
-                self._phases.clear()
-            factor = np.exp(dt * self.symbol)
-            factor.setflags(write=False)
-            self._phases[dt] = factor
+        factor = _memoised(self._phases, dt, lambda: np.exp(dt * self.symbol))
         return dft_inverse(factor * dft_forward(u))
+
+
+def _memoised(memo: dict, key: float, build) -> np.ndarray:
+    """``memo[key]``, built read-only on a miss; the memo is cleared when it
+    holds FLOW_MEMO_SIZE entries."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= FLOW_MEMO_SIZE:
+            memo.clear()
+        value = build()
+        value.setflags(write=False)
+        memo[key] = value
+    return value
 
 
 def _multiplier(grid: Grid, a: float, symbol: np.ndarray) -> SpectralOperator:

@@ -206,6 +206,29 @@ def test_work_precision_runtime_positive(tmp_path):
     assert all(r > 0 for r in runtimes)
 
 
+def test_cli_work_precision_honours_dt(tmp_path):
+    from nlslab.cli import main
+
+    out = tmp_path / "wp.json"
+    argv = ["work-precision", "--method", "SP-S2", "--m", "128", "--T", "0.2",
+            "--dt", "1/20", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row[:2] for row in rows] == [["SP-S2", 0.05]]
+
+
+def test_convergence_scores_semiclassical_configs_against_the_fine_reference(tmp_path):
+    cfg = parse_config(
+        "scenario=convergence, method=SP-S2, eps=0.2, dx=1/16, T=0.1, "
+        f"dts=1/20 1/40, out={tmp_path}/semi_conv.csv"
+    )
+    rows = run_scenario(cfg).rows
+    errors = [row[2] for row in rows]
+    assert [row[1] for row in rows] == [1 / 20, 1 / 40]
+    assert errors[1] < errors[0] < 0.1
+    assert math.isfinite(rows[0][3]) and rows[0][3] > 1.5
+
+
 def test_runtime_scales_with_step_count():
     # timing sanity: twice the steps costs about twice the time
     grid = make_grid(-8, 8, 512)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlslab import relaxation
+from nlslab import relaxation, spectral
 from nlslab.core import ConfigurationError, make_grid
 from nlslab.imexrk import ImExTableau, imex_step, order_conditions_residual, tableau
 from nlslab.oracles import soliton_exact, soliton_initial
@@ -219,6 +219,27 @@ def test_stage_kernel_matches_per_term_reference(name, make_operator, dt):
     assert dt * np.max(np.abs(inc.d2 - d2)) <= ulps
 
 
+@pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
+@pytest.mark.parametrize("name,transforms", [("ImEx3", 10), ("ImEx4", 14)])
+def test_multiplier_step_transform_count(name, transforms, make_operator, monkeypatch):
+    # One forward DFT of u and of each stage's cubic term, one inverse DFT
+    # per implicit stage and per increment; counted where a tracer counts.
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(2, grid)
+    stiff, nonstiff = spectral_parts(make_operator(grid, 1.0), beta)
+    calls = []
+    for attr in ("dft_forward", "dft_inverse"):
+        original = getattr(spectral, attr)
+
+        def counted(u, original=original):
+            calls.append(u)
+            return original(u)
+
+        monkeypatch.setattr(spectral, attr, counted)
+    imex_step(s0, tableau(name), 0.01, stiff, nonstiff)
+    assert len(calls) == transforms
+
+
 @pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
 def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, monkeypatch):
     grid, s0, stiff, nonstiff = soliton_setup
@@ -246,3 +267,7 @@ def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, m
     for u in (np.arange(4.0), np.arange(6.0), np.arange(6.0) + 1j):
         expected = imex_step(u, t, 0.1, _ZeroPart(), lambda g: -0.5 * g).u_next
         assert np.array_equal(rotate(u, 0.1).u_next, expected)
+    # A multiplier's stages are DFT coefficients, complex for a real u too.
+    real = s0.u.real.copy()
+    expected = imex_step(real, t, 0.01, stiff, nonstiff).u_next
+    assert np.array_equal(make_imex_stepper(t, stiff, nonstiff)(real, 0.01).u_next, expected)

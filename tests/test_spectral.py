@@ -234,35 +234,51 @@ def test_flow_memo_is_bitwise_the_inline_flow():
     assert len(op._phases) == 5
 
 
-def test_flow_memo_stays_bounded_and_recomputes_after_clearing():
+def _inline_solve(op, u, mu):
+    return dft_inverse(dft_forward(u) / (1.0 - mu * op.symbol))
+
+
+# Each operator memo: the method that fills it per key, and that method inline.
+_MEMOS = {
+    "_phases": (SpectralOperator.flow, _inline_flow),
+    "_shifts": (SpectralOperator.solve, _inline_solve),
+}
+
+
+@pytest.mark.parametrize("memo", _MEMOS)
+def test_operator_memo_stays_bounded_and_recomputes_after_clearing(memo):
     op, u = _flow_setup(64)
+    call, inline = _MEMOS[memo]
+    entries = getattr(op, memo)
     first = 0.01
-    op.flow(u, first)
+    call(op, u, first)
     for k in range(1, 5 * FLOW_MEMO_SIZE):
-        op.flow(u, first + k * 1e-3)
-        assert len(op._phases) <= FLOW_MEMO_SIZE
-    assert first not in op._phases
-    assert _same_bits(op.flow(u, first), _inline_flow(op, u, first))
-    assert first in op._phases
+        call(op, u, first + k * 1e-3)
+        assert len(entries) <= FLOW_MEMO_SIZE
+    assert first not in entries
+    assert _same_bits(call(op, u, first), inline(op, u, first))
+    assert first in entries
 
 
-def test_flow_memo_factors_are_read_only():
+@pytest.mark.parametrize("memo", _MEMOS)
+def test_operator_memo_entries_are_read_only(memo):
     op, u = _flow_setup(64)
-    op.flow(u, 0.02)
-    (factor,) = op._phases.values()
+    _MEMOS[memo][0](op, u, 0.02)
+    (factor,) = getattr(op, memo).values()
     assert not factor.flags.writeable
     with pytest.raises(ValueError):
         factor[0] = 0.0
 
 
-def test_flow_memo_is_not_part_of_equality_or_repr():
+@pytest.mark.parametrize("memo", _MEMOS)
+def test_operator_memo_is_not_part_of_equality_or_repr(memo):
     op, u = _flow_setup(64)
     # Sharing grid and symbol isolates the memo's part in the comparison.
     twin = SpectralOperator(op.grid, op.a, op.symbol)
-    op.flow(u, 0.02)
-    assert op._phases and not twin._phases
+    _MEMOS[memo][0](op, u, 0.02)
+    assert getattr(op, memo) and not getattr(twin, memo)
     assert op == twin
-    assert "_phases" not in repr(op)
+    assert memo not in repr(op)
 
 
 def test_operators_compare_by_value():

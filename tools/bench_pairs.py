@@ -15,7 +15,12 @@ median and quartiles, the output digests and whether every run was correct,
 and per metric how many pairs the change won (ties count for neither side)
 and whether the claim rule holds: the change wins at least nine tenths of
 the pairs and the medians differ by more than the parent's quartile spread.
-Metric names and directions come from the change's BENCHMARK.json.
+The no-regression verdict per metric: ``within_bound`` when the change's
+median is worse than the parent's by no more than the metric's relative
+``bound``, and ``unresolved`` when the parent's quartile spread, relative to
+its median, exceeds that bound, unless every change run beats every parent
+run.  Metric names, directions and bounds come from the change's
+BENCHMARK.json.
 
 ``--trace-runs`` adds that many ``--trace 1`` runs per side and workload
 after the timed pairs; their per-layer metrics are recorded as printed.
@@ -82,6 +87,9 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         )
         spread = parent["q3"] - parent["q1"]
         gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+        scale = abs(parent["median"])
+        every_run_wins = (max(change["runs"]) < min(parent["runs"]) if lower
+                          else min(change["runs"]) > max(parent["runs"]))
         comparisons[name] = {
             "change_wins": wins,
             "median_gain": gain,
@@ -89,6 +97,9 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             if parent["median"] else None,
             "parent_quartile_spread": spread,
             "claim_holds": wins >= 0.9 * len(parent["runs"]) and gain > spread,
+            "bound": m["bound"],
+            "within_bound": -gain <= m["bound"] * scale,
+            "unresolved": spread > m["bound"] * scale and not every_run_wins,
         }
     out["comparisons"] = comparisons
     return out
