@@ -13,7 +13,6 @@ from .core import (
     NumericalFailureError,
     Problem,
     RunRecord,
-    Tolerances,
     UnsupportedBoundaryError,
     discrete_energy,
     discrete_mass,
@@ -57,7 +56,6 @@ __all__ = [
     "SpectralOperator",
     "SplittingScheme",
     "StepIncrements",
-    "Tolerances",
     "UnsupportedBoundaryError",
     "adaptive_integrate",
     "discrete_energy",

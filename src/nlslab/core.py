@@ -40,16 +40,6 @@ class NumericalFailureError(RuntimeError):
     """Non-finite state or failed linear algebra during a run."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances of the solvers."""
-
-    conservation: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
 def _extraction_sum(p: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array by error-free extraction.
 
@@ -189,7 +179,6 @@ class Problem:
     x_right: float
     a: float
     b: float
-    ic: str
     bc: str = PERIODIC
 
     def __post_init__(self):

@@ -146,16 +146,6 @@ def stage_solve(fac: StageFactorization, rhs: np.ndarray) -> np.ndarray:
     return fac.lu.solve(fac.op.itilde * rhs)
 
 
-def grad_mass(op: FemOperator, s: GridState) -> np.ndarray:
-    """Gradient of the conserved mass matched to this operator's variant."""
-    return conserved_functionals(op)[0].gradient(s)
-
-
-def grad_energy(op: FemOperator, s: GridState) -> np.ndarray:
-    """Gradient of the conserved energy matched to this operator's variant."""
-    return conserved_functionals(op)[1].gradient(s)
-
-
 def conserved_functionals(op: FemOperator) -> tuple[InvariantFunctional, InvariantFunctional]:
     """(mass, energy) functionals whose gradients match this operator.
 
@@ -174,7 +164,8 @@ def invariant_drift_rate(op: FemOperator, s: GridState) -> tuple[float, float]:
     S, the energy rate by the discrete product structure of the gradient.
     """
     f = fem_rhs(op, s)
-    return exact_dot(grad_mass(op, s), f), exact_dot(grad_energy(op, s), f)
+    mass, energy = conserved_functionals(op)
+    return exact_dot(mass.gradient(s), f), exact_dot(energy.gradient(s), f)
 
 
 class FemStiffPart:

@@ -47,6 +47,7 @@ from .core import (
 )
 from .imexrk import tableau
 from .relaxation import (
+    CONSERVATION_TOL,
     ControllerConfig,
     MultiRelaxer,
     SingleRelaxer,
@@ -150,7 +151,7 @@ class ExperimentConfig:
     fit_t_min: float = 2.0
     fit_t_max: float = 15.0
     samples: int = 400
-    conservation_tol: float = 1e-12
+    conservation_tol: float = CONSERVATION_TOL
     max_growth: float = 5.0
     dt_min: float | None = None
     dx_ref: float | None = None
@@ -333,7 +334,6 @@ def run_method(
             tau_abs=cfg.tol,
             tau_rel=cfg.tol,
             embedded_order=tab.embedded_order,
-            conservation_tol=cfg.conservation_tol,
             max_growth=cfg.max_growth,
             dt_min=cfg.dt_min,
         )
@@ -352,15 +352,18 @@ def _soliton_error(cfg: ExperimentConfig, state: GridState) -> float:
 
 
 class SemiclassicalReference:
-    """Fine-mesh reference, advanced on demand to each run's recorded time.
+    """Fine-mesh AK4 splitting reference, advanced on demand to each run's
+    recorded time.
 
-    Starts from the runs' own initial data (same ``phase``) sampled on the
-    fine grid and integrates incrementally, caching states so ascending
-    query times reuse work.
+    The mesh defaults to ``dx/8`` and ``dt/20`` of the run's own grid and
+    step (whether ``m`` or ``dx`` sets the grid); ``dx_ref`` must divide the
+    domain, and each run grid must subsample the fine one exactly.  Starts from the runs' own
+    initial data (same ``phase``) sampled on the fine grid and integrates
+    incrementally, caching states so ascending query times reuse work.
     """
 
     def __init__(self, cfg: ExperimentConfig, problem: Problem):
-        dx = cfg.dx if cfg.dx is not None else 1.0 / 32
+        dx = _grid_for(cfg, problem).dx
         self.dx_ref = cfg.dx_ref if cfg.dx_ref is not None else dx / 8.0
         dt = cfg.dt if cfg.dt is not None else 1.0 / 100
         self.dt_ref = cfg.dt_ref if cfg.dt_ref is not None else dt / 20.0
@@ -469,7 +472,7 @@ def _dt_sweep(cfg: ExperimentConfig, fourth: str, T: float) -> ScenarioResult:
     ``fourth="slope"`` it is the method's fitted convergence slope."""
     problem, grid, s0 = _setup(cfg)
     timed = fourth == "runtime"
-    dts = cfg.dts or ((cfg.dt,) if cfg.dt else _DEFAULT_DTS)
+    dts = cfg.dts or ((cfg.dt,) if cfg.dt is not None else _DEFAULT_DTS)
     if cfg.is_semiclassical:
         error_of = SemiclassicalReference(cfg, problem).error
     else:
@@ -546,7 +549,11 @@ def run_invariant_table(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_error_growth(cfg: ExperimentConfig) -> ScenarioResult:
-    """Error against the exact solution over time, with a fitted growth rate."""
+    """Error against the exact soliton over time, with a fitted growth rate."""
+    if cfg.is_semiclassical:
+        raise ConfigurationError(
+            "error_growth scenario scores against the exact soliton; it takes no 'eps' key"
+        )
     problem, grid, s0 = _setup(cfg)
     T = cfg.T if cfg.T is not None else 20.0
     result = ScenarioResult(["method", "t", "error", "exponent", "diagnosis"], [])
@@ -663,24 +670,16 @@ def _record_payload(record: RunRecord, echo: dict | None) -> dict:
     }
 
 
-def emit(record: RunRecord, path, fmt: str = "csv", echo: dict | None = None) -> Path:
-    """Write one run record; CSV gets a sibling ``*_summary.csv`` file.
+def emit(record: RunRecord, path, echo: dict | None = None) -> Path:
+    """Write one run record as JSON.
 
     Floats are serialized with 17 significant digits so a JSON round trip
     reproduces the summary exactly.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        payload = _record_payload(record, echo)
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return path
-    if fmt != "csv":
-        raise ConfigurationError(f"unknown output format {fmt!r}")
-    _write_csv(path, STEP_COLUMNS, _step_rows(record))
-    summary = record.summary()
-    summary_path = path.with_name(path.stem + "_summary.csv")
-    _write_csv(summary_path, list(summary), [list(summary.values())])
+    payload = _record_payload(record, echo)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
 
 
@@ -712,5 +711,5 @@ def write_scenario(cfg: ExperimentConfig, result: ScenarioResult) -> list[Path]:
     runs_dir = out.with_name(out.stem + "_runs")
     for label, record in result.records.items():
         safe = re.sub(r"[^A-Za-z0-9_.()\-]+", "_", label)
-        written.append(emit(record, runs_dir / f"{safe}.json", "json", echo))
+        written.append(emit(record, runs_dir / f"{safe}.json", echo))
     return written

@@ -76,10 +76,6 @@ class ImExTableau(ValueEquality):
         object.__setattr__(self, "stage_rows", rows)
         object.__setattr__(self, "increment_rows", np.repeat([self.b_main, self.b_embedded], 2, 1))
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.a_im)
-
 
 def _tableau_imex3() -> ImExTableau:
     g = 1767732205903 / 4055673282236

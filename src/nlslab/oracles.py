@@ -10,7 +10,6 @@ out of both before dividing.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .core import (
     Grid,
     GridState,
     Problem,
-    make_grid,
 )
 
 #: beyond this |x| every soliton has decayed below double-precision resolution
@@ -137,7 +135,7 @@ def soliton_beta(n: int) -> float:
 
 def soliton_problem(n: int, x_left: float = -35.0, x_right: float = 35.0) -> Problem:
     """Multi-soliton benchmark: sech initial data, beta = 2 n^2, periodic box."""
-    return Problem(x_left, x_right, a=1.0, b=soliton_beta(n), ic="sech", bc=PERIODIC)
+    return Problem(x_left, x_right, a=1.0, b=soliton_beta(n), bc=PERIODIC)
 
 
 def soliton_initial(n: int, grid: Grid) -> tuple[GridState, float]:
@@ -146,13 +144,6 @@ def soliton_initial(n: int, grid: Grid) -> tuple[GridState, float]:
         raise ConfigurationError(f"no exact solution for n={n}; choose 1, 2, or 3")
     u = 1.0 / np.cosh(grid.nodes) + 0j
     return GridState(grid, u, 0.0), soliton_beta(n)
-
-
-def boundary_value(grid: Grid) -> float:
-    """|sech| at the farthest domain edge: how far a unit soliton centred at
-    0 has decayed where the box cuts it off."""
-    edge = max(abs(float(grid.nodes[0])), abs(float(grid.nodes[-1])) + grid.dx)
-    return 1.0 / math.cosh(edge)
 
 
 def semiclassical_problem(eps: float, beta: float = 1.0) -> Problem:
@@ -165,7 +156,7 @@ def semiclassical_problem(eps: float, beta: float = 1.0) -> Problem:
     """
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    return Problem(-8.0, 8.0, a=eps / 2.0, b=beta / eps, ic="gaussian", bc=PERIODIC)
+    return Problem(-8.0, 8.0, a=eps / 2.0, b=beta / eps, bc=PERIODIC)
 
 
 def semiclassical_initial(kind: str, eps: float, grid: Grid) -> GridState:
@@ -200,34 +191,3 @@ def subsample(fine: GridState, coarse: Grid) -> GridState:
     if abs(fg.nodes[0] - coarse.nodes[0]) > 1e-12:
         raise ConfigurationError("grids are not nested: left endpoints differ")
     return GridState(coarse, fine.u[::stride].copy(), fine.t)
-
-
-def reference_solution(p: Problem, dt_ref: float, dx_ref: float, T: float) -> GridState:
-    """Fine-mesh fourth-order splitting run used as the reference solution.
-
-    The caller is responsible for choosing (dt_ref, dx_ref) at least 4x finer
-    than any run compared against it; the fine grid must be an integer
-    refinement so that restriction is exact subsampling.
-    """
-    from . import splitting  # deferred: splitting does not import oracles
-    from .spectral import spectral_operator
-
-    length = p.x_right - p.x_left
-    m = round(length / dx_ref)
-    if abs(m * dx_ref - length) > 1e-9 * length:
-        raise ConfigurationError(
-            f"dx_ref={dx_ref} does not evenly divide the domain length {length}"
-        )
-    grid = make_grid(p.x_left, p.x_right, m, PERIODIC)
-    if p.ic == "sech":
-        state = GridState(grid, 1.0 / np.cosh(grid.nodes) + 0j, 0.0)
-    elif p.ic in ("gaussian", "constant_phase"):
-        state = semiclassical_initial("constant_phase", 2.0 * p.a, grid)
-    elif p.ic == "varying_phase":
-        state = semiclassical_initial("varying_phase", 2.0 * p.a, grid)
-    else:
-        raise ConfigurationError(f"no initial-data sampler for ic={p.ic!r}")
-    op = spectral_operator(grid, p.a)
-    sch = splitting.scheme("AK4")
-    state, _ = splitting.integrate_splitting(state, sch, op, p.b, dt_ref, T)
-    return state

@@ -37,7 +37,6 @@ import numpy as np
 from .core import (
     ACCEPTED,
     CONSERVATION_REJECTED,
-    DEFAULT_TOLERANCES,
     EPS_REJECTED,
     ConfigurationError,
     GridState,
@@ -51,6 +50,8 @@ from .core import (
 )
 from .imexrk import ImExTableau, StepIncrements, imex_step
 
+#: Default residual below which a relaxation solve counts as converged.
+CONSERVATION_TOL = 1e-12
 _LANDING_REL_TOL = 1e-12
 _MAX_NEWTON_ITERATIONS = 50
 _MAX_DAMPING_HALVINGS = 10
@@ -85,7 +86,6 @@ class ControllerConfig:
     tau_rel: float = 1e-4
     safety: float = 0.9
     embedded_order: int = 3
-    conservation_tol: float = DEFAULT_TOLERANCES.conservation
     max_growth: float = 5.0
     dt_min: float | None = None
 
@@ -160,7 +160,7 @@ def relax_single(
     dt: float,
     inv: InvariantFunctional,
     target: float | None = None,
-    conservation_tol: float = DEFAULT_TOLERANCES.conservation,
+    conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Find gamma1 restoring the mass along direction d1.
 
@@ -244,7 +244,7 @@ def relax_multi(
     dt: float,
     functionals: tuple[InvariantFunctional, InvariantFunctional],
     targets: tuple[float, float] | None = None,
-    conservation_tol: float = DEFAULT_TOLERANCES.conservation,
+    conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Solve the 2x2 conservation system for (gamma1, gamma2).
 
@@ -320,7 +320,7 @@ class SingleRelaxer:
         self,
         functional: InvariantFunctional,
         s0: GridState,
-        tol: float = DEFAULT_TOLERANCES.conservation,
+        tol: float = CONSERVATION_TOL,
     ):
         self.functional = functional
         self.target = functional.evaluate(s0)
@@ -339,7 +339,7 @@ class MultiRelaxer:
         self,
         functionals: tuple[InvariantFunctional, InvariantFunctional],
         s0: GridState,
-        tol: float = DEFAULT_TOLERANCES.conservation,
+        tol: float = CONSERVATION_TOL,
     ):
         self.pair = functionals
         self.targets = (functionals[0].evaluate(s0), functionals[1].evaluate(s0))

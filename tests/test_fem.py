@@ -20,8 +20,6 @@ from nlslab.fem import (
     assemble,
     conserved_functionals,
     fem_rhs,
-    grad_energy,
-    grad_mass,
     invariant_drift_rate,
     stage_factorize,
     stage_solve,
@@ -174,14 +172,14 @@ def test_fem_operator_matches_assembled_reference(m, a):
 def test_grad_mass_formula_and_euler_identity():
     grid = make_grid(0, 4, 8)  # dx = 0.5
     op = assemble(8, grid.dx, "periodic", beta=2.0)
+    mass_fn, _ = conserved_functionals(op)
     s = GridState(grid, np.ones(8, dtype=complex))
-    g = grad_mass(op, s)
+    g = mass_fn.gradient(s)
     assert np.array_equal(g[0::2], np.ones(8))
     assert np.array_equal(g[1::2], np.zeros(8))
     rng = np.random.default_rng(3)
     s = GridState(grid, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    mass_fn, _ = conserved_functionals(op)
-    dot = exact_dot(grad_mass(op, s), as_real_pairs(s.u))
+    dot = exact_dot(mass_fn.gradient(s), as_real_pairs(s.u))
     assert dot == pytest.approx(2.0 * mass_fn.evaluate(s), rel=1e-13)
 
 
@@ -191,13 +189,14 @@ def test_grad_energy_constant_state():
     op = assemble(8, grid.dx, "periodic", beta=beta)
     c = 0.8 + 0.3j
     s = GridState(grid, np.full(8, c))
-    g = grad_energy(op, s)
+    _, energy_fn = conserved_functionals(op)
+    g = energy_fn.gradient(s)
     expected_v = -2.0 * beta * grid.dx * abs(c) ** 2 * c.real
     expected_w = -2.0 * beta * grid.dx * abs(c) ** 2 * c.imag
     assert np.max(np.abs(g[0::2] - expected_v)) <= 1e-14
     assert np.max(np.abs(g[1::2] - expected_w)) <= 1e-14
     zero = GridState(grid, np.zeros(8, dtype=complex))
-    assert np.all(grad_energy(op, zero) == 0.0)
+    assert np.all(energy_fn.gradient(zero) == 0.0)
 
 
 @pytest.mark.parametrize("bc", ["natural", "periodic"])
@@ -253,13 +252,11 @@ def test_drift_rates_vanish_on_random_states(bc):
     rng = np.random.default_rng(5)
     grid = make_grid(-3, 3, 48, bc=bc)
     op = assemble(48, grid.dx, bc, beta=8.0)
+    pair = conserved_functionals(op)
     for _ in range(5):
         s = GridState(grid, rng.standard_normal(48) + 1j * rng.standard_normal(48))
         f = fem_rhs(op, s)
-        scale = max(
-            np.linalg.norm(grad_mass(op, s)) * np.linalg.norm(f),
-            np.linalg.norm(grad_energy(op, s)) * np.linalg.norm(f),
-        )
+        scale = max(np.linalg.norm(fn.gradient(s)) * np.linalg.norm(f) for fn in pair)
         r1, r2 = invariant_drift_rate(op, s)
         assert abs(r1) <= 1e-12 * scale
         assert abs(r2) <= 1e-12 * scale

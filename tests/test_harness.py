@@ -116,27 +116,14 @@ def test_fit_growth_exponent_needs_samples():
         fit_growth_exponent([(t, 1.0) for t in np.linspace(20, 30, 20)], (2, 15))
 
 
-def test_emit_empty_record_header_only(tmp_path):
-    path = tmp_path / "steps.csv"
-    emit(RunRecord(), path, "csv")
-    assert path.read_text().splitlines() == ["t,dt,eps,Gamma,residual,disposition"]
-
-
 def test_emit_step_schema_and_json_round_trip(tmp_path):
     record = RunRecord()
     record.log(StepRow(0.01, 0.01, 0.25, 1e-9, 3e-16, "accepted"))
     record.log(StepRow(0.01, 0.02, 1.75, 0.0, None, "eps-rejected"))
     record.final_t = 0.01
     record.max_mass_drift = 3.0e-16
-    csv_path = tmp_path / "run.csv"
-    emit(record, csv_path, "csv")
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,dt,eps,Gamma,residual,disposition"
-    assert len(lines) == 3
-    assert (tmp_path / "run_summary.csv").exists()
-
     json_path = tmp_path / "run.json"
-    emit(record, json_path, "json", echo={"scenario": "demo"})
+    assert emit(record, json_path, echo={"scenario": "demo"}) == json_path
     payload = json.loads(json_path.read_text())
     assert payload["summary"]["final_t"] == record.final_t
     assert payload["summary"]["max_mass_drift"] == record.max_mass_drift
@@ -229,6 +216,26 @@ def test_convergence_scores_semiclassical_configs_against_the_fine_reference(tmp
     assert math.isfinite(rows[0][3]) and rows[0][3] > 1.5
 
 
+def test_dt_sweep_runs_an_explicit_zero_dt(tmp_path):
+    # dt=0 is a (bad) value, not "unset": one failed row, not the default sweep
+    cfg = parse_config(
+        "scenario=work_precision, method=SP-S2, nsolitons=1, m=128, T=0.2, dt=0, "
+        f"out={tmp_path}/wp.csv"
+    )
+    rows = [_shape(row) for row in run_scenario(cfg).rows]
+    assert rows == [["SP-S2", 0.0, _NAN, _NAN, "dt must be positive, got 0.0"]]
+
+
+def test_error_growth_refuses_semiclassical_configs(tmp_path):
+    # there is no exact solution for Gaussian data to score against
+    cfg = parse_config(
+        "scenario=error_growth, method=SP-ImEx4, eps=0.2, dx=1/16, dt=1/50, T=0.1, "
+        f"out={tmp_path}/g.csv"
+    )
+    with pytest.raises(ConfigurationError, match="exact soliton"):
+        run_scenario(cfg)
+
+
 def test_runtime_scales_with_step_count():
     # timing sanity: twice the steps costs about twice the time
     grid = make_grid(-8, 8, 512)
@@ -274,6 +281,19 @@ def test_semiclassical_reference_starts_from_the_runs_phase(tmp_path):
     assert [row[1] for row in rows] == [0.0, 0.1]
     assert rows[0][2] <= 1e-12
     assert rows[1][2] < 1e-3
+
+
+def test_semiclassical_reference_follows_the_run_grid(tmp_path):
+    # the reference defaults to dx/8 of the run grid, however it is given
+    base = "scenario=semiclassical, method=SP-AK4, eps=0.2, dt=1/50, t_out=0.04, dt_ref=1/400"
+    by_m = run_scenario(parse_config(f"{base}, m=1024, out={tmp_path}/m.csv")).rows
+    by_dx = run_scenario(parse_config(f"{base}, dx=1/64, out={tmp_path}/dx.csv")).rows
+    assert [row[:3] for row in by_m] == [row[:3] for row in by_dx]
+    assert by_m[0][4] == ""
+    # a grid finer than the old fixed 1/256 reference still nests in its own
+    fine = parse_config(f"{base}, m=8192, t_out=0.02, dt_ref=1/200, out={tmp_path}/f.csv")
+    rows = run_scenario(fine).rows
+    assert [(row[1], row[4]) for row in rows] == [(0.02, "")]
 
 
 def test_semiclassical_adaptive_method_reports_t_zero(tmp_path):

@@ -82,7 +82,7 @@ def test_order_conditions_bounded_order():
 def test_esdirk_constant_diagonal():
     for name in ("ImEx3", "ImEx4"):
         t = tableau(name)
-        diag = t.diagonal
+        diag = np.diag(t.a_im)
         assert diag[0] == 0.0
         nonzero = diag[1:]
         assert np.all(nonzero == nonzero[0])

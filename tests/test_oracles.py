@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from nlslab.core import ConfigurationError, GridState, discrete_mass, make_grid
+from nlslab.harness import ExperimentConfig, SemiclassicalReference
 from helpers import pde_residual
 
 from nlslab.oracles import (
     SOLITON_CLAMP_X,
     _SOLITON_TERMS,
-    boundary_value,
     density,
-    reference_solution,
     semiclassical_initial,
     semiclassical_problem,
     soliton_exact,
@@ -123,11 +122,6 @@ def test_soliton_initial_betas_and_peak():
     assert np.max(np.abs(state.u)) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_boundary_value_flags_small_domains():
-    assert boundary_value(make_grid(-35, 35, 1120)) < 1e-14
-    assert boundary_value(make_grid(-8, 8, 256)) > 1e-14
-
-
 def test_semiclassical_initial_data():
     grid = make_grid(-8, 8, 512)
     const = semiclassical_initial("constant_phase", 0.2, grid)
@@ -160,15 +154,18 @@ def test_subsample_nested_grids():
         subsample(fs, make_grid(-35, 35, 300))
 
 
-def test_reference_solution_self_consistency():
-    problem = semiclassical_problem(0.2)
-    base = reference_solution(problem, 1 / 2000, 1 / 256, 0.8)
-    finer = reference_solution(problem, 1 / 4000, 1 / 512, 0.8)
+def _reference(**keys):
+    cfg = ExperimentConfig("semiclassical", eps=0.2, **keys)
+    return SemiclassicalReference(cfg, semiclassical_problem(cfg.eps))
+
+
+def test_semiclassical_reference_self_consistency():
+    base = _reference(dx_ref=1 / 256, dt_ref=1 / 2000).state_at(0.8)
+    finer = _reference(dx_ref=1 / 512, dt_ref=1 / 4000).state_at(0.8)
     coarse_view = subsample(finer, base.grid)
     assert np.max(np.abs(base.u - coarse_view.u)) <= 1e-8
 
 
-def test_reference_solution_rejects_nonnesting_dx():
-    problem = semiclassical_problem(0.2)
+def test_semiclassical_reference_rejects_nonnesting_dx():
     with pytest.raises(ConfigurationError):
-        reference_solution(problem, 1 / 100, 1 / 31.7, 0.1)
+        _reference(dx_ref=1 / 31.7, dt_ref=1 / 100)

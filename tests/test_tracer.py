@@ -44,3 +44,24 @@ def test_traced_cli_call_reaches_every_layer(tmp_path):
         assert counts[f"{name}.calls"] == 1, name
     for name in ("imexrk.imex_step", "relaxation.relax_single", "relaxation.relax_multi"):
         assert counts.get(f"{name}.calls", 0) >= 1, name
+
+
+def test_traced_semiclassical_call_reaches_the_reference(tmp_path):
+    # the fine-mesh reference dominates the semiclassical workload
+    config = tmp_path / "semi.cfg"
+    config.write_text(
+        "scenario = semiclassical\n"
+        "eps = 0.2\n"
+        "dx = 1/16\n"
+        "dt = 1/50\n"
+        "t_out = 0.04\n"
+        "dx_ref = 1/64\n"
+        "dt_ref = 1/400\n"
+        "methods = SP-S2\n"
+    )
+    with _load_spans().Tracer() as tracer:
+        argv = ["semiclassical", "--config", str(config), "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+    counts, _ = tracer.run_summary()
+    assert counts.get("oracles.reference.calls", 0) >= 1
+    assert counts["splitting.integrate.calls"] >= 2  # the run and the reference
