@@ -23,9 +23,8 @@ from .core import (
 from .imexrk import ImExTableau, StepIncrements, imex_step, tableau
 from .relaxation import (
     ControllerConfig,
-    MultiRelaxer,
     RelaxationOutcome,
-    SingleRelaxer,
+    Relaxer,
     adaptive_integrate,
     error_estimate,
     integrate_imex,
@@ -47,12 +46,11 @@ __all__ = [
     "GridState",
     "ImExTableau",
     "InvariantFunctional",
-    "MultiRelaxer",
     "NumericalFailureError",
     "Problem",
     "RelaxationOutcome",
+    "Relaxer",
     "RunRecord",
-    "SingleRelaxer",
     "SpectralOperator",
     "SplittingScheme",
     "StepIncrements",

@@ -56,9 +56,13 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             cfg = parse_config(args.config.read_text())
+            if cfg.scenario != args.scenario:
+                raise ConfigurationError(
+                    f"{args.config} sets scenario {cfg.scenario!r}, but "
+                    f"'{args.command}' runs the {args.scenario!r} scenario"
+                )
         else:
             cfg = ExperimentConfig(scenario=args.scenario)
-        cfg = replace(cfg, scenario=args.scenario)
         if args.method is not None:
             cfg = replace(cfg, methods=(parse_method(args.method),))
         if args.dt is not None:

@@ -135,16 +135,6 @@ class Grid(ValueEquality):
     dx: float
     bc: str = PERIODIC
 
-    @property
-    def length(self) -> float:
-        if self.bc == PERIODIC:
-            return self.dx * self.m
-        return self.dx * (self.m - 1)
-
-    @property
-    def x_left(self) -> float:
-        return float(self.nodes[0])
-
 
 def make_grid(x_left: float, x_right: float, m: int, bc: str = PERIODIC) -> Grid:
     """Build a uniform grid on [x_left, x_right] for the given boundary kind."""

@@ -107,11 +107,6 @@ def assemble(m: int, dx: float, bc: str, beta: float, a: float = 1.0) -> FemOper
     return FemOperator(m=m, dx=dx, bc=bc, beta=beta, a=a, s_matrix=s_matrix, itilde=weights)
 
 
-def fem_rhs(op: FemOperator, s: GridState) -> np.ndarray:
-    """Right-hand side of the semi-discretization, length 2m."""
-    return op.rhs_pairs(as_real_pairs(s.u))
-
-
 @dataclass
 class StageFactorization:
     """Factored shifted system (Itilde + (mu*a/dx^2) S), reusable across stages."""
@@ -163,7 +158,7 @@ def invariant_drift_rate(op: FemOperator, s: GridState) -> tuple[float, float]:
     Both vanish to rounding for any state: the mass rate by skew-symmetry of
     S, the energy rate by the discrete product structure of the gradient.
     """
-    f = fem_rhs(op, s)
+    f = op.rhs_pairs(as_real_pairs(s.u))
     mass, energy = conserved_functionals(op)
     return exact_dot(mass.gradient(s), f), exact_dot(energy.gradient(s), f)
 

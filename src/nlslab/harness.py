@@ -49,8 +49,7 @@ from .imexrk import tableau
 from .relaxation import (
     CONSERVATION_TOL,
     ControllerConfig,
-    MultiRelaxer,
-    SingleRelaxer,
+    Relaxer,
     adaptive_integrate,
     integrate_imex,
     make_imex_stepper,
@@ -323,12 +322,8 @@ def run_method(
         )
     tab = tableau(method.family)
     stepper = make_imex_stepper(tab, *spectral_parts(op, problem.b))
-    if method.relaxation == "single":
-        relaxer = SingleRelaxer(invariants[0], s0, tol=cfg.conservation_tol)
-    elif method.relaxation == "multi":
-        relaxer = MultiRelaxer((invariants[0], invariants[1]), s0, tol=cfg.conservation_tol)
-    else:
-        relaxer = None
+    relaxed = {"none": 0, "single": 1, "multi": 2}[method.relaxation]
+    relaxer = Relaxer(invariants[:relaxed], s0, tol=cfg.conservation_tol) if relaxed else None
     if method.error_control:
         controller = ControllerConfig(
             tau_abs=cfg.tol,
@@ -457,8 +452,6 @@ def _guarded(result: ScenarioResult, failed_row: list, run) -> None:
 def _growth_default_dt(cfg: ExperimentConfig, method: MethodSpec) -> float:
     if cfg.dt is not None:
         return cfg.dt
-    if cfg.is_semiclassical:
-        return 1.0 / 100
     if cfg.n_solitons == 2 and method.family == "ImEx4":
         return 0.05
     return 0.01

@@ -29,7 +29,6 @@ from .core import (
     PERIODIC,
     DimensionMismatchError,
     Grid,
-    GridState,
     UnsupportedBoundaryError,
     ValueEquality,
     dft_forward,
@@ -137,11 +136,6 @@ def fem_operator(grid: Grid, a: float) -> SpectralOperator:
     return _multiplier(grid, a, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
 
 
-def exact_linear_flow(op: SpectralOperator, s: GridState, dt: float) -> GridState:
-    """Advance the dispersion-only equation exactly; preserves mass."""
-    return s.with_u(op.flow(s.u, dt), t=s.t + dt)
-
-
 def nonlinear_flow(u: np.ndarray, b: float, dt: float) -> np.ndarray:
     """Pointwise phase rotation u_j * e^{i*b*|u_j|^2*dt}; |u_j| is untouched.
 
@@ -155,11 +149,6 @@ def nonlinear_flow(u: np.ndarray, b: float, dt: float) -> np.ndarray:
     rotation.real = np.cos(phase)
     rotation.imag = np.sin(phase)
     return u * rotation
-
-
-def exact_nonlinear_flow(s: GridState, b: float, dt: float) -> GridState:
-    """Advance the nonlinear-only equation exactly; |u_j| is preserved."""
-    return s.with_u(nonlinear_flow(s.u, b, dt), t=s.t + dt)
 
 
 def spectral_parts(op: SpectralOperator, b: float):

@@ -6,6 +6,7 @@ runs at the benchmark configurations, so this module dominates the suite's
 runtime; every test also asserts its own wall-clock budget.
 """
 
+import math
 import time
 
 import numpy as np
@@ -38,7 +39,7 @@ from nlslab.oracles import (
     soliton_initial,
     soliton_problem,
 )
-from nlslab.spectral import exact_nonlinear_flow, spectral_operator
+from nlslab.spectral import nonlinear_flow, spectral_operator
 from nlslab.core import dft_forward, dft_inverse
 
 
@@ -262,7 +263,7 @@ def test_criterion_7_adaptive_speedup():
     # wall stays under a minute.
     from nlslab.relaxation import (
         ControllerConfig,
-        SingleRelaxer,
+        Relaxer,
         adaptive_integrate,
         integrate_imex,
         make_imex_stepper,
@@ -279,25 +280,45 @@ def test_criterion_7_adaptive_speedup():
     stepper = make_imex_stepper(tab, stiff, nonstiff)
 
     s_fixed, rec_fixed = integrate_imex(
-        s0, stepper, 1 / 4000, T, relaxer=SingleRelaxer(mass_functional(), s0)
+        s0, stepper, 1 / 4000, T, relaxer=Relaxer([mass_functional()], s0)
     )
     controller = ControllerConfig(
         tau_abs=1e-6, tau_rel=1e-6, embedded_order=tab.embedded_order
     )
-    s_ec, rec_ec = adaptive_integrate(
-        s0, stepper, SingleRelaxer(mass_functional(), s0), controller, T,
-        dt_initial=1 / 4000,
-    )
-    speedup = rec_fixed.runtime_seconds / rec_ec.runtime_seconds
+
+    def run_ec():
+        return adaptive_integrate(
+            s0, stepper, Relaxer([mass_functional()], s0), controller, T,
+            dt_initial=1 / 4000,
+        )
+
+    s_ec, rec_ec = run_ec()
     # Counted work, so that a wall-clock miss under host load can be told
     # apart from a real change in the work either run does.
+    attempts_fixed = rec_fixed.accepted + rec_fixed.conservation_rejections
     attempts_ec = rec_ec.accepted + rec_ec.eps_rejections + rec_ec.conservation_rejections
     work = (
-        f"fixed {rec_fixed.accepted} steps vs adaptive {attempts_ec} attempts "
-        f"({rec_ec.accepted} accepted, {rec_ec.eps_rejections} eps- and "
-        f"{rec_ec.conservation_rejections} conservation-rejected)"
+        f"fixed {attempts_fixed} attempts ({rec_fixed.accepted} accepted) vs adaptive "
+        f"{attempts_ec} attempts ({rec_ec.accepted} accepted, {rec_ec.eps_rejections} "
+        f"eps- and {rec_ec.conservation_rejections} conservation-rejected)"
     )
-    assert speedup >= 10.0, f"adaptive speedup only {speedup:.1f}x; {work}"
+    # A single adaptive run lasts about half a second, so one host stall
+    # would move the ratio.  The adaptive side is timed as the mean of k
+    # identical runs, k set by the counted work so that the k runs last
+    # about as long as the one fixed run.
+    k = math.ceil(attempts_fixed / attempts_ec)
+    walls_ec = [rec_ec.runtime_seconds]
+    for _ in range(k - 1):
+        s_again, rec_again = run_ec()
+        assert np.array_equal(s_again.u, s_ec.u) and s_again.t == s_ec.t
+        walls_ec.append(rec_again.runtime_seconds)
+    speedup = rec_fixed.runtime_seconds / (sum(walls_ec) / k)
+    readings = (
+        f"fixed {rec_fixed.runtime_seconds:.3f}s, adaptive mean of {k} runs "
+        f"[{', '.join(f'{w:.3f}' for w in walls_ec)}]s"
+    )
+    print(f"criterion 7 readings: {readings}; {work}")
+    assert speedup >= 10.0, f"adaptive speedup only {speedup:.1f}x; {readings}; {work}"
 
     cfg = ExperimentConfig(
         scenario="semiclassical", eps=eps, dx=1 / 128, dt=1 / 4000,
@@ -311,7 +332,7 @@ def test_criterion_7_adaptive_speedup():
     )
     _ok(
         "criterion 7 (adaptive speedup)",
-        f"speedup {speedup:.0f}x >= 10x ({work}), errors EC {err_ec:.2e} vs fixed "
+        f"speedup {speedup:.1f}x >= 10x ({readings}; {work}), errors EC {err_ec:.2e} vs fixed "
         f"{err_fixed:.2e} (both on the spatial floor)",
     )
 
@@ -326,8 +347,8 @@ def test_criterion_8_property_suite():
 
     grid = make_grid(-10, 10, 256)
     s = GridState(grid, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    flowed = exact_nonlinear_flow(s, 8.0, 0.37)
-    modulus_drift = np.max(np.abs(np.abs(flowed.u) - np.abs(s.u)))
+    flowed = nonlinear_flow(s.u, 8.0, 0.37)
+    modulus_drift = np.max(np.abs(np.abs(flowed) - np.abs(s.u)))
     assert modulus_drift <= 1e-15 * np.max(np.abs(s.u))
 
     for bc in ("periodic", "natural"):

@@ -100,7 +100,7 @@ def test_dft_single_mode_matches_direct_summation():
     # O(m^2) direct summation as the independent oracle
     m = 48
     grid = make_grid(-2, 5, m)
-    xi1 = 2 * np.pi / grid.length
+    xi1 = 2 * np.pi / (grid.dx * grid.m)
     u = np.exp(1j * xi1 * grid.nodes)
     direct = np.array(
         [sum(u[j] * np.exp(-2j * np.pi * k * j / m) for j in range(m)) for k in range(m)]
@@ -156,7 +156,7 @@ def test_energy_constant_state_is_pure_quartic():
     c = 1.25 - 0.5j
     beta = 1.3
     s = GridState(grid, np.full(64, c))
-    expected = -(beta / 2) * abs(c) ** 4 * grid.length
+    expected = -(beta / 2) * abs(c) ** 4 * (grid.dx * grid.m)
     assert discrete_energy(s, beta) == pytest.approx(expected, rel=1e-12)
 
 

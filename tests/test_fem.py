@@ -19,7 +19,6 @@ from nlslab.fem import (
     FemStiffPart,
     assemble,
     conserved_functionals,
-    fem_rhs,
     invariant_drift_rate,
     stage_factorize,
     stage_solve,
@@ -70,8 +69,7 @@ def test_assemble_rejects_small_operator():
 
 def test_rhs_zero_state():
     op = assemble(8, 0.5, "periodic", beta=2.0)
-    grid = make_grid(0, 4, 8)
-    out = fem_rhs(op, GridState(grid, np.zeros(8, dtype=complex)))
+    out = op.rhs_pairs(as_real_pairs(np.zeros(8, dtype=complex)))
     assert np.all(out == 0.0)
 
 
@@ -79,24 +77,22 @@ def test_rhs_constant_state_is_pure_nonlinear():
     # periodic S annihilates constants, leaving -beta * F(U)
     beta = 3.0
     op = assemble(8, 0.5, "periodic", beta=beta)
-    grid = make_grid(0, 4, 8)
     c = 1.2 - 0.7j
-    out = fem_rhs(op, GridState(grid, np.full(8, c)))
+    out = op.rhs_pairs(as_real_pairs(np.full(8, c)))
     expected = 1j * beta * abs(c) ** 2 * c  # complex view of -beta*F
     assert np.max(np.abs(out[0::2] - expected.real)) <= 1e-14
     assert np.max(np.abs(out[1::2] - expected.imag)) <= 1e-14
 
 
 def test_rhs_second_order_consistency():
-    # fem_rhs -> i u_xx + i beta |u|^2 u at rate >= 1.8 under dx halving
+    # rhs_pairs -> i u_xx + i beta |u|^2 u at rate >= 1.8 under dx halving
     beta = 2.0
     errors, dxs = [], []
     for m in (140, 280, 560, 1120):
         grid = make_grid(-35, 35, m)
         sech = 1 / np.cosh(grid.nodes)
-        state = GridState(grid, sech + 0j)
         op = assemble(m, grid.dx, "periodic", beta=beta)
-        out = fem_rhs(op, state)
+        out = op.rhs_pairs(as_real_pairs(sech + 0j))
         continuum = 1j * (sech - 2 * sech**3) + 1j * beta * sech**3
         err = max(
             np.max(np.abs(out[0::2] - continuum.real)),
@@ -255,7 +251,7 @@ def test_drift_rates_vanish_on_random_states(bc):
     pair = conserved_functionals(op)
     for _ in range(5):
         s = GridState(grid, rng.standard_normal(48) + 1j * rng.standard_normal(48))
-        f = fem_rhs(op, s)
+        f = op.rhs_pairs(as_real_pairs(s.u))
         scale = max(np.linalg.norm(fn.gradient(s)) * np.linalg.norm(f) for fn in pair)
         r1, r2 = invariant_drift_rate(op, s)
         assert abs(r1) <= 1e-12 * scale
@@ -272,7 +268,7 @@ def test_stiff_part_matches_rhs_linear_term():
     op = assemble(32, grid.dx, "periodic", beta=2.0)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    via_rhs = fem_rhs(op, GridState(grid, u))
+    via_rhs = op.rhs_pairs(as_real_pairs(u))
     for part in _stiff_parts(grid, op):
         stiff, nonstiff = spectral_parts(part, op.beta)
         total = stiff.apply(u) + nonstiff(u)

@@ -12,6 +12,7 @@ from nlslab.core import (
     GridState,
     InvariantFunctional,
     NumericalFailureError,
+    energy_functional,
     make_grid,
     mass_functional,
 )
@@ -20,8 +21,7 @@ from nlslab.imexrk import StepIncrements, tableau
 from nlslab.oracles import soliton_initial
 from nlslab.relaxation import (
     ControllerConfig,
-    MultiRelaxer,
-    SingleRelaxer,
+    Relaxer,
     adaptive_integrate,
     error_estimate,
     integrate_imex,
@@ -145,7 +145,34 @@ def test_relax_single_refuses_invariants_other_than_mass():
     with pytest.raises(ConfigurationError, match="enforces the mass"):
         relax_single(un, inc, 0.1, other)
     with pytest.raises(ConfigurationError, match="enforces the mass"):
-        SingleRelaxer(other, un).solve(un, inc, 0.1)
+        Relaxer([other], un).solve(un, inc, 0.1)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_relaxer_refuses_other_than_one_or_two_invariants(count):
+    un = _toy_state([1.0, 1j, -2.0, 0.5])
+    with pytest.raises(ConfigurationError, match="one or two invariants, got"):
+        Relaxer([mass_functional()] * count, un)
+
+
+@pytest.mark.parametrize("count, solve", [(1, "relax_single"), (2, "relax_multi")])
+def test_relaxer_calls_its_solve_through_the_module(monkeypatch, count, solve):
+    # one invariant is single relaxation and two are multiple relaxation;
+    # the solve is resolved when called, so a wrapper installed on the
+    # module afterwards sees every call
+    import nlslab.relaxation as relaxation
+
+    un = _toy_state([1.0, 1j, -2.0, 0.5])
+    inc = _increments(un.u, [0.3, -1j, 0.0, 2.0])
+    functionals = [mass_functional(), energy_functional(2.0)][:count]
+    relaxer = Relaxer(functionals, un, tol=1e-9)
+    calls = []
+    monkeypatch.setattr(relaxation, solve, lambda *args, **kwargs: calls.append((args, kwargs)))
+    relaxer.solve(un, inc, 0.1)
+    (args, kwargs), = calls
+    targets = tuple(f.evaluate(un) for f in functionals)
+    expected = (functionals[0], targets[0]) if count == 1 else (tuple(functionals), targets)
+    assert args[3:] == expected and kwargs == {"conservation_tol": 1e-9}
 
 
 def test_relaxed_update_identity_and_full_backoff():
@@ -365,7 +392,7 @@ def test_single_relaxer_keeps_order_and_conservation():
     s0, beta = soliton_initial(1, grid)
     stiff, nonstiff = spectral_parts(op, beta)
     stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
-    relaxer = SingleRelaxer(mass_functional(), s0)
+    relaxer = Relaxer([mass_functional()], s0)
     _, record = integrate_imex(
         s0, stepper, 0.01, 1.0, relaxer=relaxer, invariants=[mass_functional()]
     )
@@ -422,7 +449,7 @@ def test_adaptive_rejects_on_conservation_and_halves(fem_setup):
     stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
     stepper = make_imex_stepper(tab, stiff, nonstiff)
-    relaxer = MultiRelaxer((mass, doubled), un)
+    relaxer = Relaxer((mass, doubled), un)
     cfg = ControllerConfig(embedded_order=tab.embedded_order, dt_min=1e-4)
     with pytest.raises(NumericalFailureError):
         adaptive_integrate(un, stepper, relaxer, cfg, 1.0, dt_initial=0.01)
@@ -436,7 +463,7 @@ def test_adaptive_conservation_rejection_follows_eps_acceptance():
     stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
     stepper = make_imex_stepper(tab, stiff, nonstiff)
-    relaxer = MultiRelaxer(pair, s0)
+    relaxer = Relaxer(pair, s0)
     cfg = ControllerConfig(embedded_order=tab.embedded_order)
     _, record = adaptive_integrate(s0, stepper, relaxer, cfg, 0.6, dt_initial=0.05)
     rejections = [r for r in record.steps if r.disposition == CONSERVATION_REJECTED]
@@ -453,7 +480,7 @@ def test_fixed_step_landing_matches_final_time():
     s0, beta = soliton_initial(1, grid)
     stiff, nonstiff = spectral_parts(op, beta)
     stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
-    relaxer = SingleRelaxer(mass_functional(), s0)
+    relaxer = Relaxer([mass_functional()], s0)
     out, record = integrate_imex(s0, stepper, 0.03, 0.1, relaxer=relaxer)
     last_nominal = record.steps[-1].dt
     assert abs(out.t - 0.1) <= abs(record.steps[-1].gamma_total) * last_nominal + 1e-15
@@ -473,7 +500,7 @@ def test_fixed_step_halving_cap_raises(fem_setup):
     # No residual beats a zero tolerance, so every attempt is halved.  At the
     # default tolerance the run would go on: once a step is small enough to
     # conserve mass to 1e-12 unrelaxed, gamma = (0, 0) converges.
-    relaxer = MultiRelaxer((mass, doubled), un, tol=0.0)
+    relaxer = Relaxer((mass, doubled), un, tol=0.0)
     with pytest.raises(NumericalFailureError, match="halvings"):
         integrate_imex(un, stepper, 0.01, 1.0, relaxer=relaxer)
 
@@ -487,7 +514,7 @@ def test_fixed_step_overflow_in_relaxation_halves_the_step(fem_setup):
     stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
     with np.errstate(over="ignore", invalid="ignore"):
         _, record = integrate_imex(
-            un, stepper, 1.5, 3.0, relaxer=MultiRelaxer(pair, un), invariants=list(pair)
+            un, stepper, 1.5, 3.0, relaxer=Relaxer(pair, un), invariants=list(pair)
         )
     assert record.conservation_rejections > 0
     assert record.max_mass_drift <= 1e-12
@@ -547,7 +574,7 @@ def test_relaxation_arithmetic_error_is_a_conservation_rejection(error):
     s0, beta = soliton_initial(1, grid)
     stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
     stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
-    relaxer = _FailingOnce(SingleRelaxer(mass_functional(), s0), error)
+    relaxer = _FailingOnce(Relaxer([mass_functional()], s0), error)
     _, record = integrate_imex(s0, stepper, 0.05, 0.2, relaxer=relaxer)
     assert record.conservation_rejections == 1
     assert record.steps[0].disposition == CONSERVATION_REJECTED
@@ -562,7 +589,7 @@ def test_zero_length_run_returns_the_start_state(controlled):
     s0, beta = soliton_initial(1, grid)
     parts = spectral_parts(spectral_operator(grid, 1.0), beta)
     stepper = make_imex_stepper(tableau("ImEx3"), *parts)
-    relaxer = SingleRelaxer(mass_functional(), s0)
+    relaxer = Relaxer([mass_functional()], s0)
     if controlled:
         state, record = adaptive_integrate(s0, stepper, relaxer, ControllerConfig(), 0.0, 0.05)
     else:
@@ -576,6 +603,6 @@ def test_relaxation_configuration_error_propagates():
     s0, beta = soliton_initial(1, grid)
     stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
     stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
-    relaxer = _FailingOnce(SingleRelaxer(mass_functional(), s0), ConfigurationError("bad"))
+    relaxer = _FailingOnce(Relaxer([mass_functional()], s0), ConfigurationError("bad"))
     with pytest.raises(ConfigurationError, match="bad"):
         integrate_imex(s0, stepper, 0.05, 0.2, relaxer=relaxer)

@@ -14,8 +14,6 @@ from nlslab.core import (
 from nlslab.spectral import (
     FLOW_MEMO_SIZE,
     SpectralOperator,
-    exact_linear_flow,
-    exact_nonlinear_flow,
     fem_operator,
     nonlinear_flow,
     spectral_operator,
@@ -59,7 +57,7 @@ def test_dispersion_apply_eigenmode():
     grid = make_grid(-3, 3, 48)
     a = 0.7
     op = spectral_operator(grid, a)
-    xi1 = 2 * np.pi / grid.length
+    xi1 = 2 * np.pi / (grid.dx * grid.m)
     u = np.exp(1j * xi1 * grid.nodes)
     out = op.apply(u)
     assert np.max(np.abs(out - (-1j * a * xi1**2) * u)) <= 1e-12
@@ -100,7 +98,7 @@ def test_stage_solve_single_mode():
     grid = make_grid(-2, 2, 64)
     a = 1.3
     op = spectral_operator(grid, a)
-    xi1 = 2 * np.pi / grid.length
+    xi1 = 2 * np.pi / (grid.dx * grid.m)
     rhs = np.exp(1j * xi1 * grid.nodes)
     out = op.solve(rhs, 1.0)
     assert np.max(np.abs(out - rhs / (1 + 1j * a * xi1**2))) <= 1e-12
@@ -143,14 +141,13 @@ def test_nonlinear_term_values():
 def test_exact_linear_flow_constant_and_eigenmode():
     grid = make_grid(-3, 3, 48)
     op = spectral_operator(grid, 1.0)
-    const = GridState(grid, np.full(48, 0.3 - 2j))
-    out = exact_linear_flow(op, const, 0.7)
-    assert np.max(np.abs(out.u - const.u)) <= 1e-13
-    assert out.t == 0.7
-    xi1 = 2 * np.pi / grid.length
-    mode = GridState(grid, np.exp(1j * xi1 * grid.nodes))
-    out = exact_linear_flow(op, mode, 0.25)
-    assert np.max(np.abs(out.u - np.exp(-1j * xi1**2 * 0.25) * mode.u)) <= 1e-13
+    const = np.full(48, 0.3 - 2j)
+    out = op.flow(const, 0.7)
+    assert np.max(np.abs(out - const)) <= 1e-13
+    xi1 = 2 * np.pi / (grid.dx * grid.m)
+    mode = np.exp(1j * xi1 * grid.nodes)
+    out = op.flow(mode, 0.25)
+    assert np.max(np.abs(out - np.exp(-1j * xi1**2 * 0.25) * mode)) <= 1e-13
 
 
 def test_exact_linear_flow_preserves_mass_and_composes():
@@ -158,19 +155,18 @@ def test_exact_linear_flow_preserves_mass_and_composes():
     grid = make_grid(-5, 5, 160)
     op = spectral_operator(grid, 0.8)
     s = GridState(grid, rng.standard_normal(160) + 1j * rng.standard_normal(160))
-    out = exact_linear_flow(op, s, 0.31)
+    out = s.with_u(op.flow(s.u, 0.31))
     assert discrete_mass(out) == pytest.approx(discrete_mass(s), rel=1e-13)
-    two = exact_linear_flow(op, exact_linear_flow(op, s, 0.11), 0.23)
-    one = exact_linear_flow(op, s, 0.34)
-    assert np.max(np.abs(two.u - one.u)) <= 1e-12 * np.max(np.abs(one.u))
+    two = op.flow(op.flow(s.u, 0.11), 0.23)
+    one = op.flow(s.u, 0.34)
+    assert np.max(np.abs(two - one)) <= 1e-12 * np.max(np.abs(one))
 
 
 def test_exact_nonlinear_flow_phases():
-    grid = make_grid(0, 1, 4)
-    out = exact_nonlinear_flow(GridState(grid, np.ones(4, dtype=complex)), 2.0, np.pi)
-    assert np.max(np.abs(out.u - 1.0)) <= 1e-14
-    out = exact_nonlinear_flow(GridState(grid, np.full(4, 2.0 + 0j)), 1.0, np.pi / 4)
-    assert np.max(np.abs(out.u - (-2.0))) <= 1e-13
+    out = nonlinear_flow(np.ones(4, dtype=complex), 2.0, np.pi)
+    assert np.max(np.abs(out - 1.0)) <= 1e-14
+    out = nonlinear_flow(np.full(4, 2.0 + 0j), 1.0, np.pi / 4)
+    assert np.max(np.abs(out - (-2.0))) <= 1e-13
 
 
 def test_exact_nonlinear_flow_preserves_modulus_and_mass():
@@ -178,7 +174,7 @@ def test_exact_nonlinear_flow_preserves_modulus_and_mass():
     grid = make_grid(-5, 5, 256)
     u = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     s = GridState(grid, u)
-    out = exact_nonlinear_flow(s, 7.5, 0.42)
+    out = s.with_u(nonlinear_flow(u, 7.5, 0.42))
     assert np.max(np.abs(np.abs(out.u) - np.abs(u))) <= 1e-15 * np.max(np.abs(u))
     assert discrete_mass(out) == pytest.approx(discrete_mass(s), rel=1e-14)
 

@@ -10,7 +10,7 @@ from nlslab.core import (
     mass_functional,
 )
 from nlslab.oracles import soliton_exact, soliton_initial
-from nlslab.spectral import SpectralOperator, exact_linear_flow, spectral_operator
+from nlslab.spectral import SpectralOperator, spectral_operator
 from nlslab.splitting import integrate_splitting, scheme, splitting_step
 
 
@@ -47,8 +47,8 @@ def test_linear_problem_reduces_to_exact_flow(soliton_setup):
     grid, op, s0, _ = soliton_setup
     dt = 0.3
     stepped = splitting_step(s0, scheme("S2"), op, 0.0, dt)
-    exact = exact_linear_flow(op, s0, dt)
-    assert np.max(np.abs(stepped.u - exact.u)) <= 1e-13
+    exact = op.flow(s0.u, dt)
+    assert np.max(np.abs(stepped.u - exact)) <= 1e-13
 
 
 def test_step_preserves_mass(soliton_setup):
