@@ -55,7 +55,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            cfg = parse_config(args.config.read_text())
+            try:
+                text = args.config.read_text()
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot read config {args.config}: {exc.strerror or exc}"
+                ) from exc
+            cfg = parse_config(text)
             if cfg.scenario != args.scenario:
                 raise ConfigurationError(
                     f"{args.config} sets scenario {cfg.scenario!r}, but "

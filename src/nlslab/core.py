@@ -9,11 +9,15 @@ Every invariant and relaxation sum goes through :func:`exact_sum` or
 :func:`exact_dot`: the correctly rounded sum, by the error-free vector
 extraction of Ogita, Rump and Oishi in whole-array numpy passes, including
 the polynomial restrictions of the invariants (:func:`family_coefficients`).
+One extraction round, certified by an a-priori bound on the plain sum of
+its remainder, settles almost every sum; more rounds run only near a
+rounding tie, under heavy cancellation, or at magnitudes near underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -43,15 +47,29 @@ class NumericalFailureError(RuntimeError):
 def _extraction_sum(p: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array by error-free extraction.
 
-    Each round picks sigma = 2**(ceil(log2(n+2)) + e), with max|p| < 2**e,
-    and splits p exactly into q = (sigma + p) - sigma and the remainder
-    p - q.  Every q_i is a multiple of 2**-53 * sigma and |sum q| < sigma,
-    so ``np.sum(q)`` is exact in any order.  The loop stops once the
-    remainder bound n * max|p| can no longer change how the sum of the
-    exact partials rounds: rounding is monotone, so equal roundings of the
-    two ends of that interval are the rounding of the true sum.  Well
-    conditioned sums stop after two rounds; each round removes about
-    53 - log2(n) bits, so cancellation costs more rounds, not accuracy.
+    A round picks sigma = 2**(ceil(log2(n+2)) + e), with max|p| < 2**e, and
+    splits p exactly into q = (sigma + p) - sigma and the remainder
+    r = p - q.  Every q_i is a multiple of 2**-53 * sigma and |sum q| <
+    sigma, so ``np.sum(q)`` is exact in any order.
+
+    One round settles almost every sum, certified by an a-priori bound.
+    Each sigma + p_i lies in (sigma/2, 2*sigma), where floats are at most
+    2**-52 * sigma apart, so |r_i| <= 2**-53 * sigma.  Any order of
+    floating-point additions of n terms, ``np.sum`` included, is within
+    gamma_(n-1) * sum|r_i| of their exact sum, with gamma_k = k*u/(1 - k*u)
+    <= 2*k*u for u = 2**-53; so t = ``np.sum(r)`` is within
+    e = 2 * n**2 * 2**-106 * sigma of sum r.  The true sum then lies
+    between sum q + t - e and sum q + t + e; rounding is monotone, so when
+    the two ends round alike (``math.fsum`` of three terms each), that is
+    the rounding of the true sum.
+
+    More rounds run in two cases: when the ends round apart (the sum lies
+    within e of a rounding midpoint, or cancellation left it small), and
+    when e would be subnormal, where it could round below the bound.  They
+    extract again from the remainder until the bound n * max|r| can no
+    longer change how the sum of the exact partials rounds; each round
+    removes about 53 - log2(n) bits, so cancellation costs more rounds,
+    not accuracy.
     """
     n = p.size
     head = (n + 1).bit_length()  # ceil(log2(n + 2))
@@ -63,11 +81,19 @@ def _extraction_sum(p: np.ndarray) -> float:
     partials: list[float] = []
     q = np.empty_like(p)
     while True:
-        sigma = math.ldexp(1.0, head + math.frexp(mu)[1])
+        scale = head + math.frexp(mu)[1]
+        sigma = math.ldexp(1.0, scale)
         np.add(p, sigma, out=q)
         q -= sigma
         partials.append(float(q.sum()))
         p = p - q
+        if len(partials) == 1:
+            e = math.ldexp(float(n * n), scale - 105)  # 2 * n**2 * 2**-106 * sigma
+            if e >= sys.float_info.min:
+                t = float(p.sum())
+                hi = math.fsum((partials[0], t, e))
+                if hi == math.fsum((partials[0], t, -e)):
+                    return hi
         mu = float(max(p.max(), -p.min()))
         bound = 2.0 * n * mu  # >= |sum p| with the product's rounding covered
         hi = math.fsum(partials + [bound])

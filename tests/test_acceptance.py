@@ -14,7 +14,8 @@ import pytest
 
 from nlslab.core import (
     GridState,
-    discrete_mass,
+    dft_forward,
+    dft_inverse,
     energy_functional,
     gradient_finite_difference,
     make_grid,
@@ -24,7 +25,6 @@ from nlslab.fem import assemble, invariant_drift_rate
 from nlslab.harness import (
     ExperimentConfig,
     SemiclassicalReference,
-    fit_growth_exponent,
     parse_config,
     parse_method,
     run_method,
@@ -40,7 +40,6 @@ from nlslab.oracles import (
     soliton_problem,
 )
 from nlslab.spectral import nonlinear_flow, spectral_operator
-from nlslab.core import dft_forward, dft_inverse
 
 
 def _ok(criterion: str, detail: str) -> None:

@@ -301,3 +301,58 @@ def test_exact_sum_nonfinite_input_behaves_like_fsum(finite, special, rnd):
     rnd.shuffle(values)
     assert _outcome(exact_sum, values) == _outcome(math.fsum, values)
     assert _outcome(exact_sum, np.array(values)) == _outcome(math.fsum, values)
+
+
+# The kernel's paths.  One extraction round settles a sum when its a-priori
+# bound cannot change the rounding; near a tie, under cancellation and near
+# underflow the loop runs.  Each is checked bit for bit against math.fsum.
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([1.0, 2.0**-53], 1.0),  # an exact tie: rounds to even
+        ([1.0, 2.0**-53, 2.0**-150], 1.0 + 2.0**-52),  # just above the tie
+        ([1.0, 2.0**-53, -(2.0**-150)], 1.0),  # just below it
+    ],
+)
+def test_exact_sum_settles_near_ties(values, expected):
+    assert exact_sum(values).hex() == math.fsum(values).hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[2.0**-1000, 3 * 2.0**-1001, 5e-324], [5e-324] * 7],
+    ids=["near-underflow", "subnormals"],
+)
+def test_exact_sum_of_tiny_magnitudes(values):
+    # the first round's bound would not be a normal float here
+    assert exact_sum(values).hex() == math.fsum(values).hex()
+    assert exact_sum(np.array(values)).hex() == math.fsum(values).hex()
+
+
+def _crowded(rng, n, shift):
+    # terms just below 1, so the sum of the extracted parts comes close to
+    # sigma = 2**ceil(log2(n + 2))
+    return 1.0 - rng.random(n) * 2.0**-20
+
+
+@pytest.mark.parametrize("family", [_positive, _mixed, _cancelling, _crowded])
+@pytest.mark.parametrize("n", [2**k + d for k in (2, 5, 10, 13) for d in (-2, -1, 0)])
+def test_exact_sum_where_the_extraction_width_steps_up(family, n):
+    # ceil(log2(n + 2)) grows by one from n = 2**k - 2 to n = 2**k - 1
+    values = family(np.random.default_rng(n), n, 60)
+    assert exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+@given(
+    n=st.integers(0, 10_000),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.integers(0, 400),
+    scale=st.floats(0.5, 2.0),
+)
+def test_exact_dot_of_cancelling_products(n, seed, shift, scale):
+    # a constant factor keeps the exact cancellation of the large terms
+    x = _cancelling(np.random.default_rng(seed), n, shift)
+    y = np.full(x.size, scale)
+    assert exact_dot(x, y).hex() == math.fsum((x * y).tolist()).hex()

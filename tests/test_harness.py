@@ -557,6 +557,18 @@ def test_cli_refuses_a_config_of_another_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+def test_cli_reports_an_unreadable_config(tmp_path, capsys, name):
+    # an unreadable config is a bad input like any other: exit code 2 and
+    # one error line, not a traceback
+    from nlslab.cli import main
+
+    config = tmp_path / name
+    rc = main(["invariants", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+
+
 def test_cli_imports_no_scipy():
     code = (
         "import sys, nlslab.cli; "
