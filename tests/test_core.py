@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -265,12 +265,27 @@ def _cancelling(rng, n, shift):
     return rng.permutation(np.concatenate([x, -x * (1.0 + delta)]))
 
 
-@pytest.mark.parametrize("family", [_positive, _mixed, _cancelling])
+def _crowded(rng, n, shift):
+    # terms just below 1, so the sum of the extracted parts comes close to
+    # sigma = 2**ceil(log2(n + 2))
+    return 1.0 - rng.random(n) * 2.0**-20
+
+
+def _at_width_steps(test):
+    # ceil(log2(n + 2)) grows by one from n = 2**k - 2 to n = 2**k - 1
+    for k in (2, 5, 10, 13):
+        for n in (2**k - 2, 2**k - 1, 2**k):
+            test = example(n=n, seed=n, shift=60)(test)
+    return test
+
+
+@pytest.mark.parametrize("family", [_positive, _mixed, _cancelling, _crowded])
 @given(
     n=st.integers(0, 10_000),
     seed=st.integers(0, 2**32 - 1),
     shift=st.integers(0, 400),
 )
+@_at_width_steps
 def test_exact_sum_is_fsum_bit_for_bit(family, n, seed, shift):
     values = family(np.random.default_rng(seed), n, shift)
     assert exact_sum(values).hex() == math.fsum(values.tolist()).hex()
@@ -284,10 +299,19 @@ def test_exact_sum_matches_fsum_on_any_finite_list(values):
     assert _outcome(exact_sum, values) == _outcome(math.fsum, values)
 
 
-@given(n=st.integers(0, 10_000), seed=st.integers(0, 2**32 - 1))
-def test_exact_dot_is_fsum_of_products(n, seed):
+@given(
+    n=st.integers(0, 10_000),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.none() | st.integers(0, 400),
+)
+def test_exact_dot_is_fsum_of_products(n, seed, shift):
     rng = np.random.default_rng(seed)
-    x, y = _binades(rng, n, 100), _binades(rng, n, 100)
+    if shift is None:
+        x, y = _binades(rng, n, 100), _binades(rng, n, 100)
+    else:
+        # a constant factor keeps the exact cancellation of the large terms
+        x = _cancelling(rng, n, shift)
+        y = np.full(x.size, rng.uniform(0.5, 2.0))
     assert exact_dot(x, y).hex() == math.fsum((x * y).tolist()).hex()
 
 
@@ -329,30 +353,3 @@ def test_exact_sum_of_tiny_magnitudes(values):
     # the first round's bound would not be a normal float here
     assert exact_sum(values).hex() == math.fsum(values).hex()
     assert exact_sum(np.array(values)).hex() == math.fsum(values).hex()
-
-
-def _crowded(rng, n, shift):
-    # terms just below 1, so the sum of the extracted parts comes close to
-    # sigma = 2**ceil(log2(n + 2))
-    return 1.0 - rng.random(n) * 2.0**-20
-
-
-@pytest.mark.parametrize("family", [_positive, _mixed, _cancelling, _crowded])
-@pytest.mark.parametrize("n", [2**k + d for k in (2, 5, 10, 13) for d in (-2, -1, 0)])
-def test_exact_sum_where_the_extraction_width_steps_up(family, n):
-    # ceil(log2(n + 2)) grows by one from n = 2**k - 2 to n = 2**k - 1
-    values = family(np.random.default_rng(n), n, 60)
-    assert exact_sum(values).hex() == math.fsum(values.tolist()).hex()
-
-
-@given(
-    n=st.integers(0, 10_000),
-    seed=st.integers(0, 2**32 - 1),
-    shift=st.integers(0, 400),
-    scale=st.floats(0.5, 2.0),
-)
-def test_exact_dot_of_cancelling_products(n, seed, shift, scale):
-    # a constant factor keeps the exact cancellation of the large terms
-    x = _cancelling(np.random.default_rng(seed), n, shift)
-    y = np.full(x.size, scale)
-    assert exact_dot(x, y).hex() == math.fsum((x * y).tolist()).hex()

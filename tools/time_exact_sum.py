@@ -4,7 +4,7 @@ Times the nlslab that ``import nlslab`` finds, so any checkout can be measured
 through ``PYTHONPATH``:
 
     PYTHONPATH=src python3 tools/time_exact_sum.py
-    PYTHONPATH=../parent/src python3 tools/time_exact_sum.py --repeats 9
+    PYTHONPATH=../parent/src python3 tools/time_exact_sum.py
 
 Numerics run single-threaded and glibc's mmap threshold is fixed at 128 KiB,
 as in ``bench/run.py``, whose settings this script imports.  Three vectors of
@@ -16,13 +16,12 @@ each length n = 1120, 2240, 4480, 8960, the same on every run:
   relaxation cross term (mixed signs);
 * ``gauss``: standard normal values from a generator seeded with n.
 
-Each figure is the best over ``--repeats`` repeats of the mean over a batch
-of calls sized to last about ``--batch-ms``.
+Each figure is the best over REPEATS repeats of the mean over a batch of
+calls sized to last about BATCH_S.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import os
 import sys
@@ -30,6 +29,8 @@ import time
 from pathlib import Path
 
 SIZES = (1120, 2240, 4480, 8960)
+REPEATS = 9
+BATCH_S = 0.05
 
 
 def _bench_settings():
@@ -57,17 +58,17 @@ def vectors(n: int) -> dict:
     }
 
 
-def per_call_us(fn, values, repeats: int, batch_s: float) -> float:
+def per_call_us(fn, values) -> float:
     calls = 1
     while True:
         start = time.perf_counter()
         for _ in range(calls):
             fn(values)
-        if time.perf_counter() - start >= batch_s:
+        if time.perf_counter() - start >= BATCH_S:
             break
         calls *= 2
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(calls):
             fn(values)
@@ -75,12 +76,7 @@ def per_call_us(fn, values, repeats: int, batch_s: float) -> float:
     return best * 1e6
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--batch-ms", type=float, default=50.0)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     thread_vars, fix_mmap_threshold = _bench_settings()
     for var in thread_vars:
         os.environ[var] = "1"
@@ -89,12 +85,11 @@ def main(argv=None) -> int:
     import nlslab.core as core  # after the thread variables, like numpy
 
     print(f"nlslab from {Path(core.__file__).resolve().parent}; "
-          f"mmap threshold {threshold}; best of {args.repeats}")
+          f"mmap threshold {threshold}; best of {REPEATS}")
     print(f"{'n':>6} " + " ".join(f"{name:>8}" for name in ("mass", "cross", "gauss")))
     for n in SIZES:
         cells = [
-            per_call_us(core.exact_sum, values, args.repeats, args.batch_ms / 1e3)
-            for values in vectors(n).values()
+            per_call_us(core.exact_sum, values) for values in vectors(n).values()
         ]
         print(f"{n:>6} " + " ".join(f"{us:8.1f}" for us in cells))
     return 0
