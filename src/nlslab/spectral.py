@@ -16,7 +16,9 @@ takes only a handful of distinct linear sub-step sizes, so each operator
 memoises its phase factors e^{dt*symbol} per exact dt, in a memo cleared
 once it holds FLOW_MEMO_SIZE factors.  The shifted denominators
 1 - mu*symbol of the implicit ImEx stages (one mu per step size) are
-memoised the same way.
+memoised the same way.  The cubic sub-flow calls no cos or sin where its
+phase is below TINY_PHASE, most of a decaying state's tails, since the
+rounded results there are known exactly.
 """
 
 from __future__ import annotations
@@ -94,11 +96,13 @@ class SpectralOperator(ValueEquality):
     def flow(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Exact linear flow: mode-wise phase rotation e^{dt*symbol}.
 
-        The factor e^{dt*symbol} is memoised per exact dt.
+        The factor e^{dt*symbol} is memoised per exact dt and multiplied
+        into the forward transform in place, as ``factor * hat``.
         """
         self._check(u)
         factor = _memoised(self._phases, dt, lambda: np.exp(dt * self.symbol))
-        return dft_inverse(factor * dft_forward(u))
+        hat = dft_forward(u)
+        return dft_inverse(np.multiply(factor, hat, out=hat))
 
 
 def _memoised(memo: dict, key: float, build) -> np.ndarray:
@@ -136,18 +140,34 @@ def fem_operator(grid: Grid, a: float) -> SpectralOperator:
     return _multiplier(grid, a, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
 
 
+# Below this |phase| the correctly rounded cosine is 1 and sine the phase.
+TINY_PHASE = 2.0**-27
+
+
 def nonlinear_flow(u: np.ndarray, b: float, dt: float) -> np.ndarray:
     """Pointwise phase rotation u_j * e^{i*b*|u_j|^2*dt}; |u_j| is untouched.
 
     The factor is built from real cos and sin, which is bitwise what the
     complex exponential of the purely imaginary phase gives, at a lower
-    cost.  The product must stay ``u * rotation``: the in-place product
-    ``rotation *= u`` rounds differently.
+    cost.  Where |phase| < 2**-27 (TINY_PHASE) the factor is written as
+    (1, phase) with no cos or sin call: there 1 - cos(phase) < phase**2/2 <
+    2**-55, under half an ulp below 1, and |phase - sin(phase)| <
+    |phase|**3/6, under half an ulp of phase, so (1, phase) is the correctly
+    rounded pair, which libm returns (a test pins it).  NaN fails the
+    comparison and goes through libm.  Tiny phases are most of a
+    semiclassical state's decaying tails.  The product must stay
+    ``u * rotation``: the in-place product ``rotation *= u`` rounds
+    differently.
     """
-    phase = (b * dt) * (u.real**2 + u.imag**2)
+    phase = np.square(u.real)
+    phase += np.square(u.imag)
+    phase *= b * dt
+    libm = ~(np.abs(phase) < TINY_PHASE)
     rotation = np.empty(phase.shape, dtype=np.complex128)
-    rotation.real = np.cos(phase)
-    rotation.imag = np.sin(phase)
+    rotation.real = 1.0
+    rotation.imag = phase
+    np.cos(phase, out=rotation.real, where=libm)
+    np.sin(phase, out=rotation.imag, where=libm)
     return u * rotation
 
 

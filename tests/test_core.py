@@ -230,6 +230,22 @@ def test_dft_rejects_empty_and_multidimensional_input():
         dft_inverse(np.ones((4, 4), dtype=complex))
 
 
+# The workload and reference sizes (512 to 8192), primes and odd composites.
+@pytest.mark.parametrize("m", [1, 2, 7, 97, 512, 1000, 1120, 2048, 4096, 4097, 4480, 8192])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_dft_is_bitwise_numpy_fft(m, kind):
+    # scipy.fft behind the helpers must round exactly like numpy.fft, so that
+    # a library update that diverges fails here instead of moving outputs.
+    rng = np.random.default_rng(m)
+    u = rng.standard_normal(m)
+    if kind == "complex":
+        u = u + 1j * rng.standard_normal(m)
+    for ours, numpys in ((dft_forward, np.fft.fft), (dft_inverse, np.fft.ifft)):
+        out = ours(u)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out.view(np.float64), numpys(u).view(np.float64))
+
+
 # exact_sum / exact_dot against math.fsum, the exactly rounded reference.
 # Large arrays come from a numpy generator seeded by hypothesis, because
 # drawing 10k floats one by one is slow; small lists exercise every float.

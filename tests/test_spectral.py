@@ -13,6 +13,7 @@ from nlslab.core import (
 )
 from nlslab.spectral import (
     FLOW_MEMO_SIZE,
+    TINY_PHASE,
     SpectralOperator,
     fem_operator,
     nonlinear_flow,
@@ -191,17 +192,62 @@ def _inline_flow(op, u, dt):
 
 
 def _same_bits(x, y):
-    return np.array_equal(x.view(np.float64), y.view(np.float64))
+    # == on the float64 views: a NaN matches any NaN, and 0.0 matches -0.0.
+    return np.array_equal(x.view(np.float64), y.view(np.float64), equal_nan=True)
 
 
 def _inline_rotation(u, b, dt):
     return u * np.exp(1j * (b * dt) * (u.real**2 + u.imag**2))
 
 
-@example(seed=0, m=64, log_scale=0.0, b=1.0, dt=0.0, zeros=1.0)  # all zeros
-@example(seed=1, m=4096, log_scale=4.0, b=1.0, dt=0.3, zeros=0.1)  # phases ~1e8
-@example(seed=2, m=4096, log_scale=0.0, b=-1.0, dt=-0.25, zeros=0.0)
-@example(seed=3, m=257, log_scale=2.0, b=0.0, dt=0.5, zeros=0.0)
+def _libm_rotation(u, b, dt):
+    # Real cos and sin of every phase, tiny or not.
+    phase = (b * dt) * (u.real**2 + u.imag**2)
+    rotation = np.empty(phase.shape, dtype=np.complex128)
+    rotation.real = np.cos(phase)
+    rotation.imag = np.sin(phase)
+    return u * rotation
+
+
+_SPECIALS = np.array([
+    0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    np.nan, complex(1.0, np.nan), np.inf, complex(-np.inf, 1.0), complex(0.0, np.inf),
+])
+
+
+def _rotated_state(kind, seed, m, log_scale, zeros):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":  # a semiclassical state: phases tiny over its tails
+        u = 10.0**log_scale * np.exp(-np.linspace(-8.0, 8.0, m, endpoint=False) ** 2) + 0j
+    elif kind == "unit":  # |u_j|^2 == 1 exactly, so every phase is b*dt
+        u = rng.choice(np.array([1.0, -1.0, 1j, -1j]), m)
+    else:
+        u = 10.0**log_scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    u[rng.random(m) < zeros] = 0.0
+    if kind == "specials":
+        u[rng.integers(0, m, 8)] = rng.choice(_SPECIALS, 8)
+    return u
+
+
+_TINY_UP = float(np.nextafter(TINY_PHASE, 1.0))
+_TINY_DOWN = float(np.nextafter(TINY_PHASE, 0.0))
+
+
+@example(seed=0, m=64, log_scale=0.0, b=1.0, dt=0.0, zeros=1.0, kind="normal")  # all zeros
+@example(seed=1, m=4096, log_scale=4.0, b=1.0, dt=0.3, zeros=0.1, kind="normal")  # phases ~1e8
+@example(seed=2, m=4096, log_scale=0.0, b=-1.0, dt=-0.25, zeros=0.0, kind="normal")
+@example(seed=3, m=257, log_scale=2.0, b=0.0, dt=0.5, zeros=0.0, kind="normal")
+# The eps=0.2 semiclassical reference's AK4 step, both signs of b*dt.
+@example(seed=4, m=4096, log_scale=0.0, b=5.0, dt=0.86 / 2000, zeros=0.0, kind="gaussian")
+@example(seed=4, m=4096, log_scale=0.0, b=5.0, dt=-0.86 / 2000, zeros=0.0, kind="gaussian")
+# Every phase at the tiny-phase bound, or one ulp either side of it.
+@example(seed=5, m=16, log_scale=0.0, b=1.0, dt=TINY_PHASE, zeros=0.0, kind="unit")
+@example(seed=5, m=16, log_scale=0.0, b=1.0, dt=_TINY_DOWN, zeros=0.0, kind="unit")
+@example(seed=5, m=16, log_scale=0.0, b=1.0, dt=_TINY_UP, zeros=0.0, kind="unit")
+@example(seed=5, m=16, log_scale=0.0, b=-1.0, dt=_TINY_DOWN, zeros=0.0, kind="unit")
+@example(seed=6, m=64, log_scale=0.0, b=1.0, dt=0.3, zeros=0.2, kind="specials")
+@example(seed=7, m=64, log_scale=-5.0, b=-2.5, dt=1e-3, zeros=0.2, kind="specials")
+@example(seed=8, m=64, log_scale=0.0, b=1.0, dt=-0.0, zeros=0.2, kind="specials")
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 5000),
@@ -209,12 +255,31 @@ def _inline_rotation(u, b, dt):
     b=st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e3]),
     dt=st.floats(-10.0, 10.0),
     zeros=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["normal", "gaussian", "unit", "specials"]),
 )
-def test_nonlinear_flow_is_bitwise_the_complex_exponential(seed, m, log_scale, b, dt, zeros):
-    rng = np.random.default_rng(seed)
-    u = 10.0**log_scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    u[rng.random(m) < zeros] = 0.0
-    assert _same_bits(nonlinear_flow(u, b, dt), _inline_rotation(u, b, dt))
+def test_nonlinear_flow_is_bitwise_the_complex_exponential(seed, m, log_scale, b, dt, zeros,
+                                                          kind):
+    u = _rotated_state(kind, seed, m, log_scale, zeros)
+    with np.errstate(invalid="ignore"):  # cos and sin of inf
+        out = nonlinear_flow(u, b, dt)
+        # Skipping cos and sin at tiny phases gives every bit libm gives.
+        assert np.array_equal(out.view(np.int64), _libm_rotation(u, b, dt).view(np.int64))
+        assert _same_bits(out, _inline_rotation(u, b, dt))
+
+
+def test_libm_rounds_tiny_phases_to_one_and_the_phase():
+    # nonlinear_flow writes (1, phase) for |phase| < TINY_PHASE instead of
+    # calling cos and sin; that is exact only if these hold.
+    rng = np.random.default_rng(27)
+    x = np.concatenate([
+        [TINY_PHASE, _TINY_DOWN, 0.0],
+        np.geomspace(TINY_PHASE, 5e-324, 20000),  # down through the subnormals
+        rng.uniform(0.5 * TINY_PHASE, TINY_PHASE, 20000),
+    ])
+    x = np.concatenate([x, -x])
+    assert np.all(np.abs(x) <= TINY_PHASE)
+    assert np.all(np.cos(x) == 1.0)
+    assert np.array_equal(np.sin(x).view(np.int64), x.view(np.int64))
 
 
 def test_flow_memo_is_bitwise_the_inline_flow():
