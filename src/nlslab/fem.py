@@ -13,11 +13,12 @@ gradients are matched to its own operator so the semi-discrete conservation
 identities hold to rounding.
 
 The assembled matrices here are the reference definition of the scheme:
-the tests and the semi-discrete conservation checks use them.  Periodic
-runs step the stiff term as the Fourier multiplier
-:func:`nlslab.spectral.fem_operator`, which equals -(a/dx^2) S in the
-complex view, so they never factor a matrix.  :class:`FemStiffPart` is the
-only stiff part for the natural-boundary variant.
+the tests and the semi-discrete conservation checks use them.  The ImEx
+stepper takes only Fourier multipliers, so periodic runs step the stiff
+term as :func:`nlslab.spectral.fem_operator`, which equals -(a/dx^2) S in
+the complex view, and no run factors a matrix.  :class:`FemStiffPart` and
+the stage factorization are the assembled natural-boundary reference, in
+state space, that the tests compare against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .core import (
     as_real_pairs,
     energy_functional,
     exact_dot,
-    exact_sum,  # unused here, but bench/spans.py wraps fem.exact_sum by name
+    exact_sum,  # noqa: F401 - unused here, but bench/spans.py wraps fem.exact_sum
     from_real_pairs,
     mass_functional,
 )
@@ -164,7 +165,10 @@ def invariant_drift_rate(op: FemOperator, s: GridState) -> tuple[float, float]:
 
 
 class FemStiffPart:
-    """Adapter exposing the assembled stiff FEM term to the ImEx stepper.
+    """The assembled stiff FEM term in state space, the natural-boundary
+    reference the tests compare against: ``apply(u)`` is f(u) and
+    ``solve(rhs, mu)`` solves (I - mu*f) g = rhs.  Nothing steps with it;
+    the ImEx stepper takes Fourier multipliers only.
 
     Every solve factors its shifted system afresh.
     """

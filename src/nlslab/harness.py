@@ -52,6 +52,7 @@ from .relaxation import (
     Relaxer,
     adaptive_integrate,
     integrate_imex,
+    landing_tolerance,
     make_imex_stepper,
 )
 from .spectral import fem_operator, spectral_operator, spectral_parts
@@ -368,11 +369,14 @@ class SemiclassicalReference:
         self._op = spectral_operator(base.grid, problem.a)
 
     def state_at(self, t: float) -> GridState:
-        best_t = max((s for s in self._states if s <= t + 1e-13), default=None)
+        # A cached state within the step loop's landing tolerance of t is
+        # where integrating to t would stop.
+        tiny = landing_tolerance(t)
+        best_t = max((s for s in self._states if s <= t + tiny), default=None)
         if best_t is None:
             raise ConfigurationError(f"reference cannot rewind to t={t}")
         state = self._states[best_t]
-        if t > state.t + 1e-13:
+        if t > state.t + tiny:
             state, _ = splitting.integrate_splitting(
                 state, splitting.scheme("AK4"), self._op, self.problem.b, self.dt_ref, t
             )

@@ -116,7 +116,7 @@ def propose_step(eps: float, dt: float, cfg: ControllerConfig) -> float:
     order.  eps = 0 (or eps below the cap threshold) maps to max_growth*dt,
     since the raw rule is unbounded there.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ConfigurationError(f"error estimate must be nonnegative, got {eps}")
     if eps == 0.0:
         return cfg.max_growth * dt
@@ -341,21 +341,26 @@ class Relaxer:
 def make_imex_stepper(tab: ImExTableau, fim, fex):
     """Bind a tableau and semi-discretization into a (u, dt) -> increments stepper.
 
-    The stepper allocates imex_step's stage array on its first step and
-    reuses it for every later step on vectors of the same shape and dtype;
-    the increments it returns are fresh arrays.  The stage array is 860 KB
-    at m=4480: where blocks that large are mapped afresh (glibc's initial
-    mmap threshold is 128 KiB), one per step would page-fault on every step.
+    The stepper allocates imex_step's complex stage array on its first step
+    and reuses it for every later step on vectors of the same length; the
+    increments it returns are fresh arrays.  The stage array is 860 KB at
+    m=4480: where blocks that large are mapped afresh (glibc's initial mmap
+    threshold is 128 KiB), one per step would page-fault on every step.
     """
     stages = np.empty(0)
 
     def stepper(u: np.ndarray, dt: float) -> StepIncrements:
         nonlocal stages
-        if stages.shape[1:] != u.shape or stages.dtype != u.dtype:
-            stages = np.empty((2 * tab.s, *u.shape), u.dtype)
+        if stages.shape[1:] != u.shape:
+            stages = np.empty((2 * tab.s, *u.shape), np.complex128)
         return imex_step(u, tab, dt, fim, fex, _stages=stages)
 
     return stepper
+
+
+def landing_tolerance(T: float) -> float:
+    """The step loop ends a run to T once t >= T - landing_tolerance(T)."""
+    return _LANDING_REL_TOL * max(1.0, abs(T))
 
 
 def _finite(u: np.ndarray) -> bool:
@@ -392,7 +397,7 @@ def _integrate(
     (adaptive_integrate).  Either way a relaxation failure retries the step
     at half the size.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
@@ -403,10 +408,10 @@ def _integrate(
     state = s0
     h_next = dt
     attempts = halvings = 0
-    tiny = _LANDING_REL_TOL * max(1.0, abs(T))
+    tiny = landing_tolerance(T)
     started = time.perf_counter()
     while state.t < T - tiny:
-        if controller is not None and h_next < dt_min:
+        if controller is not None and not h_next >= dt_min:
             raise NumericalFailureError(
                 f"step size {h_next:.3e} fell below the floor {dt_min:.3e} at t={state.t:.6g}"
             )
@@ -417,15 +422,16 @@ def _integrate(
         if controller is None:
             if not _finite(inc.u_next):
                 raise NumericalFailureError(f"non-finite state after step {attempts}")
-        elif not (_finite(inc.u_next) and _finite(inc.d2)):
-            record.log(StepRow(state.t, h, float("inf"), 0.0, None, EPS_REJECTED))
-            h_next = h / 2.0
-            continue
         else:
-            eps = error_estimate(inc.u_next, state.u + h * inc.d2, controller)
+            eps = np.inf
+            if _finite(inc.u_next) and _finite(inc.d2):
+                eps = error_estimate(inc.u_next, state.u + h * inc.d2, controller)
             if not eps < 1.0:
+                # Non-finite trial values, or an estimate that overflowed to
+                # NaN or inf, are logged as inf and retried at half the size.
+                eps = eps if np.isfinite(eps) else np.inf
                 record.log(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
-                h_next = propose_step(eps, h, controller)
+                h_next = h / 2.0 if eps == np.inf else propose_step(eps, h, controller)
                 continue
         gamma_total, residual = 0.0, None
         if relaxer is None:
@@ -489,8 +495,9 @@ def adaptive_integrate(
     size.  The final step's nominal size is shrunk to land on T; the exact
     landing differs by gamma_total * dt, which the record reports.
 
-    A trial step producing non-finite values counts as an error rejection at
-    half the step; the run aborts when dt falls below cfg.dt_min.
+    A trial step producing non-finite values, or an error estimate that
+    overflows, counts as an error rejection at half the step; the run aborts
+    when dt falls below cfg.dt_min.
     """
     return _integrate(s0, stepper, dt_initial, T, relaxer, cfg, invariants, observer)
 

@@ -1,9 +1,10 @@
 """Fourier-multiplier stiff terms for every periodic semi-discretization.
 
-On a periodic grid both stiff terms are diagonal in Fourier space, so
-applying them and solving the shifted systems that arise in diagonally
-implicit stages are exact mode-wise operations.  The two discretizations
-differ only in the symbol:
+On a periodic grid both stiff terms are diagonal in Fourier space, so an
+operator is a grid and a symbol.  On DFT coefficients, applying it is a
+multiply by the symbol and the shifted solve of a diagonally implicit stage
+a divide by 1 - mu*symbol, which is how :func:`nlslab.imexrk.imex_step`
+uses it.  The two discretizations differ only in the symbol:
 
 - pseudospectral, i*a*u_xx with symbol -i*a*xi^2 (:func:`spectral_operator`);
 - conservative finite elements, i*a*L/dx^2 with L the circulant second
@@ -57,12 +58,11 @@ FLOW_MEMO_SIZE = 8
 class SpectralOperator(ValueEquality):
     """Periodic stiff term u -> f(u) realized as a Fourier multiplier.
 
-    Equal by value on grid, a and symbol; the phase and shift memos are
+    Equal by value on grid and symbol; the phase and shift memos are
     caches.
     """
 
     grid: Grid
-    a: float
     symbol: np.ndarray
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -81,11 +81,6 @@ class SpectralOperator(ValueEquality):
     def shifted(self, mu: float) -> np.ndarray:
         """The mode-wise matrix 1 - mu*symbol of I - mu*f (memoised per mu)."""
         return _memoised(self._shifts, mu, lambda: 1.0 - mu * self.symbol)
-
-    def solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
-        """g with (I - mu*f) g = rhs, solved mode-wise."""
-        self._check(rhs)
-        return dft_inverse(dft_forward(rhs) / self.shifted(mu))
 
     def solve_and_apply(self, rhs: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Shifted solve plus f evaluated at the solution, sharing one DFT."""
@@ -118,15 +113,15 @@ def _memoised(memo: dict, key: float, build) -> np.ndarray:
     return value
 
 
-def _multiplier(grid: Grid, a: float, symbol: np.ndarray) -> SpectralOperator:
+def _multiplier(grid: Grid, symbol: np.ndarray) -> SpectralOperator:
     symbol.setflags(write=False)
-    return SpectralOperator(grid=grid, a=a, symbol=symbol)
+    return SpectralOperator(grid=grid, symbol=symbol)
 
 
 def spectral_operator(grid: Grid, a: float) -> SpectralOperator:
     """Construct the Fourier-multiplier dispersion operator for coefficient a."""
     xi = wavenumbers(grid)
-    return _multiplier(grid, a, -1j * a * xi**2)
+    return _multiplier(grid, -1j * a * xi**2)
 
 
 def fem_operator(grid: Grid, a: float) -> SpectralOperator:
@@ -137,7 +132,7 @@ def fem_operator(grid: Grid, a: float) -> SpectralOperator:
     accuracy at the smooth modes.
     """
     xi = wavenumbers(grid)
-    return _multiplier(grid, a, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
+    return _multiplier(grid, (-4j * a / grid.dx**2) * np.sin(0.5 * grid.dx * xi) ** 2)
 
 
 # Below this |phase| the correctly rounded cosine is 1 and sine the phase.

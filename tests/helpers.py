@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from nlslab.core import GridState
+from nlslab.core import GridState, dft_forward, dft_inverse
 from nlslab.oracles import soliton_beta, soliton_exact
 
 
@@ -56,3 +56,28 @@ def restriction_mismatch(functional, magnitude, grid, u0, A, B, g1, g2):
     change = functional.evaluate(s1) - functional.evaluate(s0)
     size = magnitude.evaluate(s0) + magnitude.evaluate(s1) + sum(abs(t) for t in terms)
     return abs(math.fsum(terms) - change), size
+
+
+def shifted_solve(op, rhs, mu):
+    """g with (I - mu*f) g = rhs for a multiplier ``op``, solved in state space
+    the way imex_step solves its stages: dividing by ``op.shifted(mu)``."""
+    return dft_inverse(dft_forward(rhs) / op.shifted(mu))
+
+
+def per_term_step(u, t, dt, apply, solve, fex):
+    """One ImEx step of tableau ``t`` summed term by term in state space,
+    written independently of imex_step: ``apply`` is the stiff term and
+    ``solve(rhs, mu)`` the inverse of I - mu*apply.  Returns (u_next, d1, d2).
+    """
+    k_im, k_ex = [], []
+    for i in range(t.s):
+        rhs = u.copy()
+        for j in range(i):
+            rhs = rhs + (dt * t.a_im[i, j]) * k_im[j] + (dt * t.a_ex[i, j]) * k_ex[j]
+        mu = dt * t.a_im[i, i]
+        g = rhs if mu == 0.0 else solve(rhs, mu)
+        k_im.append(apply(g))
+        k_ex.append(fex(g))
+    d1 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_main, k_im, k_ex))
+    d2 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_embedded, k_im, k_ex))
+    return u + dt * d1, d1, d2

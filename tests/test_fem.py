@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_family, restriction_mismatch
+from helpers import random_family, restriction_mismatch, shifted_solve
 from nlslab.core import (
     FAMILY_MONOMIALS,
     NATURAL,
@@ -156,7 +156,7 @@ def test_fem_operator_matches_assembled_reference(m, a):
     for mu in (0.0025, 0.01):
         g_ref = from_real_pairs(stage_solve(stage_factorize(ref, mu), z))
         g, fg = op.solve_and_apply(u, mu)
-        for candidate in (g, op.solve(u, mu)):
+        for candidate in (g, shifted_solve(op, u, mu)):
             assert np.max(np.abs(candidate - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
         gz = as_real_pairs(g)
         residual = gz + (mu * a / grid.dx**2) * (ref.s_matrix @ gz) - z
@@ -282,6 +282,7 @@ def test_stiff_solve_inverts_shifted_system():
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     mu = 0.03
-    for stiff in _stiff_parts(grid, op):
-        g = stiff.solve(rhs, mu)
+    part, multiplier = _stiff_parts(grid, op)
+    solves = (part.solve(rhs, mu), shifted_solve(multiplier, rhs, mu))
+    for stiff, g in zip((part, multiplier), solves):
         assert np.max(np.abs((g - mu * stiff.apply(g)) - rhs)) <= 1e-11 * np.max(np.abs(rhs))

@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from helpers import per_term_step, shifted_solve
 from nlslab import relaxation, spectral
 from nlslab.core import ConfigurationError, make_grid
+from nlslab.fem import FemStiffPart, assemble
 from nlslab.imexrk import ImExTableau, imex_step, order_conditions_residual, tableau
 from nlslab.oracles import soliton_exact, soliton_initial
 from nlslab.relaxation import integrate_imex, make_imex_stepper
-from nlslab.spectral import fem_operator, spectral_operator, spectral_parts
+from nlslab.spectral import SpectralOperator, fem_operator, spectral_operator, spectral_parts
 
 
 def test_registry_shapes():
@@ -88,34 +91,25 @@ def test_esdirk_constant_diagonal():
         assert np.all(nonzero == nonzero[0])
 
 
-class _ZeroPart:
-    def apply(self, u):
-        return np.zeros_like(u)
-
-    def solve(self, rhs, mu):
-        return rhs.copy()
+def _multiplier(symbol):
+    """A stiff part with a chosen symbol, on a periodic grid of its length."""
+    symbol = np.asarray(symbol, dtype=complex)
+    return SpectralOperator(make_grid(0, 1, len(symbol)), symbol)
 
 
 def test_zero_vector_field_is_identity():
     t = tableau("ImEx3")
-    u = np.array([1.0 + 2j, -0.5j, 3.0])
-    inc = imex_step(u, t, 0.1, _ZeroPart(), lambda g: np.zeros_like(g))
+    u = np.array([1.0 + 2j, -0.5j, 3.0, 0.25])
+    inc = imex_step(u, t, 0.1, _multiplier(np.zeros(4)), lambda g: np.zeros_like(g))
     assert np.array_equal(inc.u_next, u)
     assert np.all(inc.d1 == 0) and np.all(inc.d2 == 0)
 
 
-class _MatrixPart:
-    """Dense linear stiff part for tiny systems."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix)
-        self.eye = np.eye(self.matrix.shape[0])
-
-    def apply(self, u):
-        return self.matrix @ u
-
-    def solve(self, rhs, mu):
-        return np.linalg.solve(self.eye - mu * self.matrix, rhs)
+def test_imex_step_refuses_a_stiff_part_that_is_not_a_multiplier():
+    grid = make_grid(-4, 4, 8)
+    part = FemStiffPart(assemble(8, grid.dx, "periodic", beta=1.0))
+    with pytest.raises(ConfigurationError, match="FemStiffPart"):
+        imex_step(np.ones(8, dtype=complex), tableau("ImEx3"), 0.1, part, lambda g: 0 * g)
 
 
 def _dirk_reference(matrix, u0, dt, steps, a_im, b):
@@ -137,15 +131,20 @@ def _dirk_reference(matrix, u0, dt, steps, a_im, b):
 
 @pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
 def test_matches_standalone_dirk_on_linear_system(name):
+    # A diagonalisable linear system is a multiplier in its eigenbasis: the
+    # symbol holds the eigenvalues of [[0, 1], [-4, -0.3]], a decaying and a
+    # purely dispersive mode, and the reference steps that diagonal system
+    # on the DFT coefficients of u.
     t = tableau(name)
-    matrix = np.array([[0.0, 1.0], [-4.0, -0.3]])
-    u0 = np.array([1.0, 0.25])
+    symbol = np.concatenate([np.linalg.eigvals([[0.0, 1.0], [-4.0, -0.3]]), [-2.0, 3j]])
+    u0 = np.array([1.0, 0.25, -0.5 + 1j, 2j])
     dt, steps = 0.05, 20
-    part = _MatrixPart(matrix)
+    part = _multiplier(symbol)
     u = u0.copy()
     for _ in range(steps):
         u = imex_step(u, t, dt, part, lambda g: np.zeros_like(g)).u_next
-    ref = _dirk_reference(matrix, u0, dt, steps, t.a_im, t.b_main)
+    ref_hat = _dirk_reference(np.diag(symbol), np.fft.fft(u0), dt, steps, t.a_im, t.b_main)
+    ref = np.fft.ifft(ref_hat)
     assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -185,22 +184,6 @@ def test_embedded_difference_order(soliton_setup, name):
     assert slope >= t.embedded_order - 0.3
 
 
-def _per_term_step(u, t, dt, fim, fex):
-    """One ImEx step summed term by term, written independently of imex_step."""
-    k_im, k_ex = [], []
-    for i in range(t.s):
-        rhs = u.copy()
-        for j in range(i):
-            rhs = rhs + (dt * t.a_im[i, j]) * k_im[j] + (dt * t.a_ex[i, j]) * k_ex[j]
-        mu = dt * t.a_im[i, i]
-        g = rhs if mu == 0.0 else fim.solve(rhs, mu)
-        k_im.append(fim.apply(g))
-        k_ex.append(fex(g))
-    d1 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_main, k_im, k_ex))
-    d2 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_embedded, k_im, k_ex))
-    return u + dt * d1, d1, d2
-
-
 @pytest.mark.parametrize("dt", [0.05, 0.01])
 @pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
 @pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
@@ -210,7 +193,8 @@ def test_stage_kernel_matches_per_term_reference(name, make_operator, dt):
     stiff, nonstiff = spectral_parts(make_operator(grid, 1.0), beta)
     t = tableau(name)
     inc = imex_step(s0, t, dt, stiff, nonstiff)
-    u_next, d1, d2 = _per_term_step(s0.u, t, dt, stiff, nonstiff)
+    solve = functools.partial(shifted_solve, stiff)
+    u_next, d1, d2 = per_term_step(s0.u, t, dt, stiff.apply, solve, nonstiff)
     # The stage derivatives grow like 1/dt at the stiff modes; dt*d is on
     # the scale of the state, as the update u + dt*d1 uses it.
     ulps = 10 * np.finfo(float).eps * np.max(np.abs(s0.u))
@@ -262,11 +246,16 @@ def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, m
     alone = imex_step(first.u_next, t, 0.02, stiff, nonstiff)
     for a, b in zip((second.u_next, second.d1, second.d2), (alone.u_next, alone.d1, alone.d2)):
         assert np.array_equal(a, b)
-    # Vectors of another length or dtype get a stage array that fits them.
-    rotate = make_imex_stepper(t, _ZeroPart(), lambda g: -0.5 * g)
-    for u in (np.arange(4.0), np.arange(6.0), np.arange(6.0) + 1j):
-        expected = imex_step(u, t, 0.1, _ZeroPart(), lambda g: -0.5 * g).u_next
-        assert np.array_equal(rotate(u, 0.1).u_next, expected)
+    # One operator per length: its stepper's complex stage array fits that
+    # length and serves real and complex vectors alike.
+    for m in (4, 6):
+        zero = _multiplier(np.zeros(m))
+        rotate = make_imex_stepper(t, zero, lambda g: -0.5 * g)
+        for u in (np.arange(float(m)), np.arange(float(m)) + 1j):
+            expected = imex_step(u, t, 0.1, zero, lambda g: -0.5 * g).u_next
+            assert np.array_equal(rotate(u, 0.1).u_next, expected)
+        assert passed[-1] is passed[-2]
+        assert passed[-1].shape == (2 * t.s, m) and passed[-1].dtype == np.complex128
     # A multiplier's stages are DFT coefficients, complex for a real u too.
     real = s0.u.real.copy()
     expected = imex_step(real, t, 0.01, stiff, nonstiff).u_next

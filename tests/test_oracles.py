@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlslab import splitting
 from nlslab.core import ConfigurationError, GridState, discrete_mass, make_grid
 from nlslab.harness import ExperimentConfig, SemiclassicalReference
 from helpers import pde_residual
@@ -164,6 +165,24 @@ def test_semiclassical_reference_self_consistency():
     finer = _reference(dx_ref=1 / 512, dt_ref=1 / 4000).state_at(0.8)
     coarse_view = subsample(finer, base.grid)
     assert np.max(np.abs(base.u - coarse_view.u)) <= 1e-8
+
+
+def test_semiclassical_reference_reuses_a_state_within_the_landing_tolerance(monkeypatch):
+    # The step loop stops anywhere within 1e-12 of its target time (T <= 1),
+    # so the state cached for 0.8 answers every query that close to 0.8.
+    reference = _reference(dx_ref=1 / 64, dt_ref=1 / 2000)
+    cached = reference.state_at(0.8)
+    original, runs = splitting.integrate_splitting, []
+
+    def integrate(*args, **kwargs):
+        runs.append(args[-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "integrate_splitting", integrate)
+    for t in (0.8 - 5e-13, 0.8, 0.8 + 5e-13):
+        assert reference.state_at(t) is cached
+    assert runs == []
+    assert reference.state_at(0.8 + 1e-6).t > cached.t and len(runs) == 1
 
 
 def test_semiclassical_reference_rejects_nonnesting_dx():

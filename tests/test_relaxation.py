@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
+from helpers import per_term_step
 from nlslab.core import (
     ACCEPTED,
     CONSERVATION_REJECTED,
+    EPS_REJECTED,
     NATURAL,
     ConfigurationError,
     GridState,
@@ -70,6 +72,9 @@ def test_propose_step_rules():
     assert propose_step(1 / 16, 0.2, cfg) == pytest.approx(1.8 * 0.2, rel=1e-14)
     assert propose_step(0.0, 0.2, cfg) == pytest.approx(5 * 0.2)
     assert propose_step(1e-30, 0.2, cfg) == pytest.approx(5 * 0.2)
+    for eps in (-1e-3, np.nan):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            propose_step(eps, 0.2, cfg)
 
 
 _EPS = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
@@ -376,9 +381,12 @@ def test_relax_multi_conserves_the_natural_boundary_pair():
     op = assemble(m, grid.dx, NATURAL, beta=8.0)
     pair = conserved_functionals(op)
     un = GridState(grid, 1 / np.cosh(grid.nodes) * np.exp(0.3j * grid.nodes))
+    # The stepper takes multipliers only; the natural variant's increments
+    # come from the assembled stiff part, stepped term by term in state space.
     stiff, nonstiff = spectral_parts(FemStiffPart(op), op.beta)
     dt = 0.02
-    inc = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)(un.u, dt)
+    step = per_term_step(un.u, tableau("ImEx4"), dt, stiff.apply, stiff.solve, nonstiff)
+    inc = StepIncrements(*step)
     out = relax_multi(un, inc, dt, pair)
     assert out.converged
     updated = relaxed_update(un, inc, dt, out)
@@ -472,6 +480,29 @@ def test_adaptive_conservation_rejection_follows_eps_acceptance():
         assert row.eps is not None and row.eps < 1.0
     final_times = [r.t for r in record.steps if r.disposition == ACCEPTED]
     assert all(b > a for a, b in zip(final_times, final_times[1:]))
+
+
+def test_adaptive_halves_the_step_when_the_error_estimate_is_nan():
+    # u_next = u of entries 1e308 and d2 = 1e308: at h = 1 the embedded
+    # solution u + h*d2 overflows to inf, so the error estimate is NaN.  That
+    # attempt is rejected like a non-finite one (eps logged as inf, h
+    # halved); a NaN proposal would pass the dt floor and repeat for ever.
+    s0 = _toy_state(np.full(4, 1e308))
+    steps = []
+
+    def stepper(u, h):
+        assert not np.isnan(h), "stepper called with a NaN step"
+        steps.append(h)
+        return _increments(u, np.zeros(4), np.full(4, 1e308))
+
+    cfg = ControllerConfig(tau_abs=1.0, tau_rel=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, record = adaptive_integrate(s0, stepper, None, cfg, 1.0, dt_initial=1.0)
+    assert steps == [1.0, 0.5, 0.5] and out.t == 1.0
+    assert (record.steps[0].eps, record.steps[0].disposition) == (np.inf, EPS_REJECTED)
+    assert (record.accepted, record.eps_rejections) == (2, 1)
+    with pytest.raises(ConfigurationError, match="positive"):
+        adaptive_integrate(s0, stepper, None, cfg, 1.0, dt_initial=np.nan)
 
 
 def test_fixed_step_landing_matches_final_time():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import shifted_solve
 from nlslab.core import (
     GridState,
     UnsupportedBoundaryError,
@@ -91,7 +92,8 @@ def test_stage_solve_identity_at_mu_zero():
     op = spectral_operator(grid, 1.0)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    out = op.solve(rhs, 0.0)
+    assert np.all(op.shifted(0.0) == 1.0)
+    out = shifted_solve(op, rhs, 0.0)
     assert np.max(np.abs(out - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
@@ -101,7 +103,8 @@ def test_stage_solve_single_mode():
     op = spectral_operator(grid, a)
     xi1 = 2 * np.pi / (grid.dx * grid.m)
     rhs = np.exp(1j * xi1 * grid.nodes)
-    out = op.solve(rhs, 1.0)
+    assert op.shifted(1.0)[1] == pytest.approx(1 + 1j * a * xi1**2, rel=1e-15)
+    out = shifted_solve(op, rhs, 1.0)
     assert np.max(np.abs(out - rhs / (1 + 1j * a * xi1**2))) <= 1e-12
 
 
@@ -111,7 +114,7 @@ def test_stage_solve_residual():
     op = spectral_operator(grid, 0.5)
     rhs = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     mu = 0.037
-    g = op.solve(rhs, mu)
+    g = shifted_solve(op, rhs, mu)
     recovered = g - mu * op.apply(g)
     assert np.max(np.abs(recovered - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
@@ -122,7 +125,7 @@ def test_solve_and_apply_consistent():
     op = spectral_operator(grid, 1.0)
     rhs = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     g, fg = op.solve_and_apply(rhs, 0.02)
-    assert np.max(np.abs(g - op.solve(rhs, 0.02))) <= 1e-14
+    assert np.max(np.abs(g - shifted_solve(op, rhs, 0.02))) <= 1e-14
     assert np.max(np.abs(fg - op.apply(g))) <= 1e-11
 
 
@@ -295,14 +298,10 @@ def test_flow_memo_is_bitwise_the_inline_flow():
     assert len(op._phases) == 5
 
 
-def _inline_solve(op, u, mu):
-    return dft_inverse(dft_forward(u) / (1.0 - mu * op.symbol))
-
-
-# Each operator memo: the method that fills it per key, and that method inline.
+# Each operator memo: the call that fills it per key, and that call inline.
 _MEMOS = {
     "_phases": (SpectralOperator.flow, _inline_flow),
-    "_shifts": (SpectralOperator.solve, _inline_solve),
+    "_shifts": (lambda op, u, mu: op.shifted(mu), lambda op, u, mu: 1.0 - mu * op.symbol),
 }
 
 
@@ -335,7 +334,7 @@ def test_operator_memo_entries_are_read_only(memo):
 def test_operator_memo_is_not_part_of_equality_or_repr(memo):
     op, u = _flow_setup(64)
     # Sharing grid and symbol isolates the memo's part in the comparison.
-    twin = SpectralOperator(op.grid, op.a, op.symbol)
+    twin = SpectralOperator(op.grid, op.symbol)
     _MEMOS[memo][0](op, u, 0.02)
     assert getattr(op, memo) and not getattr(twin, memo)
     assert op == twin
