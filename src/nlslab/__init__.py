@@ -24,7 +24,6 @@ from .imexrk import ImExTableau, StepIncrements, imex_step, tableau
 from .relaxation import (
     ControllerConfig,
     RelaxationOutcome,
-    Relaxer,
     adaptive_integrate,
     error_estimate,
     integrate_imex,
@@ -49,7 +48,6 @@ __all__ = [
     "NumericalFailureError",
     "Problem",
     "RelaxationOutcome",
-    "Relaxer",
     "RunRecord",
     "SpectralOperator",
     "SplittingScheme",

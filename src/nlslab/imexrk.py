@@ -29,12 +29,12 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .core import ConfigurationError, GridState, ValueEquality
+from .core import ConfigurationError
 from .spectral import SpectralOperator
 
 
 @dataclass(frozen=True, eq=False)
-class ImExTableau(ValueEquality):
+class ImExTableau:
     """Coefficients of an additive pair with shared abscissae and weights.
 
     ``a_im`` is lower triangular (nonzero diagonal allowed), ``a_ex``
@@ -53,8 +53,8 @@ class ImExTableau(ValueEquality):
     b_embedded: np.ndarray
     order: int
     embedded_order: int
-    stage_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    increment_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    stage_rows: np.ndarray = field(init=False, repr=False)
+    increment_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for label, mat in (("implicit", self.a_im), ("explicit", self.a_ex)):
@@ -222,14 +222,15 @@ class StepIncrements:
 
 
 def imex_step(
-    s, t: ImExTableau, dt: float, fim: SpectralOperator, fex, *, _stages=None
+    u, t: ImExTableau, dt: float, fim: SpectralOperator, fex, *, _stages=None
 ) -> StepIncrements:
-    """One additive RK step from state ``s`` (GridState or plain vector).
+    """One additive RK step from the state vector ``u``.
 
     ``fim`` is the stiff part, a :class:`SpectralOperator`; anything else is
-    refused.  ``fex`` is the explicit right-hand side callable.  Stages with
-    zero implicit diagonal skip the solve entirely, and a zero-diagonal
-    first stage evaluates ``fex`` at ``u`` itself.
+    refused, and so is a vector whose length is not its grid's.  ``fex`` is
+    the explicit right-hand side callable.  Stages with zero implicit
+    diagonal skip the solve entirely, and a zero-diagonal first stage
+    evaluates ``fex`` at ``u`` itself.
 
     The 2s stage derivatives fill one complex (2s, m) scratch array K
     (``_stages`` if given): on its float64 view stage i's right-hand side is
@@ -240,9 +241,10 @@ def imex_step(
         raise ConfigurationError(
             f"stiff part must be a SpectralOperator, got {type(fim).__name__}"
         )
-    u = np.ascontiguousarray(s.u if isinstance(s, GridState) else s)
+    u = np.ascontiguousarray(u)
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    fim._check(u)
     # Looked up per call, so a tracer that wraps them counts every DFT.
     forward, inverse = spectral.dft_forward, spectral.dft_inverse
     uhat = forward(u)

@@ -20,10 +20,11 @@ induction), and root finding keeps the iterate with the smallest measured
 residual.  This stops per-step rounding from random-walking across a long
 run, which matters because conserved drifts are asserted near 1e-15.
 
-Splitting, fixed-step ImEx and adaptive ImEx share one step loop: take a
-step, estimate its error if a controller is given, relax if a relaxer is
-given, then accept or reject.  Relaxation is thus a step-level post-process
-that composes with step-size control (Ranocha, Sayyari, Dalcin, Parsani and
+Splitting, fixed-step ImEx and adaptive ImEx share one step loop, which
+owns a run's invariants: take a step, estimate its error if a controller
+is given, relax the first ``relax`` tracked invariants if asked, then
+accept or reject.  Relaxation is thus a step-level post-process that
+composes with step-size control (Ranocha, Sayyari, Dalcin, Parsani and
 Ketcheson, SISC 42(2), 2020).  A relaxation failure halves the step.
 """
 
@@ -78,41 +79,42 @@ class RelaxationOutcome:
     converged: bool
 
 
+#: Factor on the raw step-size proposal, so a step at eps = 1 shrinks.
+SAFETY = 0.9
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tolerances and guards for the hybrid step controller."""
+    """Tolerance and guards for the hybrid step controller."""
 
-    tau_abs: float = 1e-4
-    tau_rel: float = 1e-4
-    safety: float = 0.9
+    tol: float = 1e-4
     embedded_order: int = 3
     max_growth: float = 5.0
     dt_min: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.safety < 1.0:
-            raise ConfigurationError(f"safety factor must be in (0,1), got {self.safety}")
-        if self.tau_abs <= 0 or self.tau_rel < 0:
-            raise ConfigurationError("tolerances must be positive")
+        if not self.tol > 0:
+            raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
 
 
 def error_estimate(u_next, u_hat, cfg: ControllerConfig) -> float:
     """Weighted RMS difference between the main and embedded solutions.
 
     Complex entries contribute their modulus; the weight for entry i is
-    tau_abs + tau_rel * max(|u_i|, |u_hat_i|).
+    tol + tol * max(|u_i|, |u_hat_i|), one tolerance both absolute and
+    relative.
     """
     if u_next.shape != u_hat.shape:
         raise ConfigurationError("states being compared have different lengths")
     diff = np.abs(u_next - u_hat)
-    scale = cfg.tau_abs + cfg.tau_rel * np.maximum(np.abs(u_next), np.abs(u_hat))
+    scale = cfg.tol + cfg.tol * np.maximum(np.abs(u_next), np.abs(u_hat))
     return float(np.sqrt(np.mean((diff / scale) ** 2)))
 
 
 def propose_step(eps: float, dt: float, cfg: ControllerConfig) -> float:
     """New step size from the error estimate; growth is capped.
 
-    The raw rule is safety * (1/eps)^(1/(q+1)) * dt with q the embedded
+    The raw rule is SAFETY * (1/eps)^(1/(q+1)) * dt with q the embedded
     order.  eps = 0 (or eps below the cap threshold) maps to max_growth*dt,
     since the raw rule is unbounded there.
     """
@@ -120,7 +122,7 @@ def propose_step(eps: float, dt: float, cfg: ControllerConfig) -> float:
         raise ConfigurationError(f"error estimate must be nonnegative, got {eps}")
     if eps == 0.0:
         return cfg.max_growth * dt
-    factor = cfg.safety * (1.0 / eps) ** (1.0 / (cfg.embedded_order + 1))
+    factor = SAFETY * (1.0 / eps) ** (1.0 / (cfg.embedded_order + 1))
     return min(factor, cfg.max_growth) * dt
 
 
@@ -311,33 +313,6 @@ def relaxed_update(
     return un.with_u(u, t=un.t + (1.0 + out.gamma_total) * dt)
 
 
-class Relaxer:
-    """Enforces one invariant (the mass, single relaxation) or two (mass and
-    energy, multiple relaxation) against their values at ``s0``.
-
-    ``solve`` resolves ``relax_single``/``relax_multi`` in this module on every
-    call, so a wrapper installed there (as ``bench/spans.py`` does) sees them.
-    """
-
-    def __init__(self, functionals, s0: GridState, tol: float = CONSERVATION_TOL):
-        self.functionals = tuple(functionals)
-        if len(self.functionals) not in (1, 2):
-            raise ConfigurationError(
-                f"relaxation enforces one or two invariants, got {len(self.functionals)}"
-            )
-        self.targets = tuple(f.evaluate(s0) for f in self.functionals)
-        self.tol = tol
-
-    def solve(self, un: GridState, inc: StepIncrements, dt: float) -> RelaxationOutcome:
-        if len(self.functionals) == 1:
-            return relax_single(
-                un, inc, dt, self.functionals[0], self.targets[0], conservation_tol=self.tol
-            )
-        return relax_multi(
-            un, inc, dt, self.functionals, self.targets, conservation_tol=self.tol
-        )
-
-
 def make_imex_stepper(tab: ImExTableau, fim, fex):
     """Bind a tableau and semi-discretization into a (u, dt) -> increments stepper.
 
@@ -367,12 +342,19 @@ def _finite(u: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(u.view(np.float64))))
 
 
-def _solve(relaxer, state: GridState, inc: StepIncrements, h: float) -> RelaxationOutcome:
-    """``relaxer.solve``, with a sum that overflows on a huge but finite trial
-    state (``math.fsum`` raises OverflowError, or ValueError on inf terms)
-    reported as a failed solve, so the step is halved."""
+def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float, tol: float):
+    """Single relaxation for one invariant, multiple for two.
+
+    ``relax_single``/``relax_multi`` are resolved in this module on every
+    call, so a wrapper installed here (as ``bench/spans.py`` does) sees them.
+    A sum that overflows on a huge but finite trial state (``math.fsum``
+    raises OverflowError, or ValueError on inf terms) is reported as a
+    failed solve, so the step is halved; a ConfigurationError propagates.
+    """
     try:
-        return relaxer.solve(state, inc, h)
+        if len(functionals) == 1:
+            return relax_single(un, inc, dt, functionals[0], targets[0], conservation_tol=tol)
+        return relax_multi(un, inc, dt, functionals, targets, conservation_tol=tol)
     except ConfigurationError:
         raise
     except (OverflowError, ValueError):
@@ -384,9 +366,10 @@ def _integrate(
     step,
     dt: float,
     T: float,
-    relaxer=None,
     controller: ControllerConfig | None = None,
     invariants=None,
+    relax: int = 0,
+    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """The step loop behind every integrator: march ``step(u, h) ->
@@ -394,17 +377,28 @@ def _integrate(
 
     Without a controller every step has nominal size dt (integrate_imex);
     with one, dt is the first size and the error estimate steers the rest
-    (adaptive_integrate).  Either way a relaxation failure retries the step
-    at half the size.
+    (adaptive_integrate).  The loop tracks the drift of ``invariants`` from
+    their values at s0, and relaxation enforces the first ``relax`` of them
+    against those same values; either way a relaxation failure retries the
+    step at half the size.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
+    invariants = list(invariants or ())
+    if relax not in (0, 1, 2) or relax > len(invariants):
+        raise ConfigurationError(
+            f"relax must be 0, 1 or 2 and at most the {len(invariants)} tracked "
+            f"invariants, got {relax!r}"
+        )
     if controller is not None:
         dt_min = controller.dt_min if controller.dt_min is not None else 1e-12 * (T - s0.t)
     record = RunRecord()
     tracker = InvariantTracker(invariants, s0) if invariants else None
+    if relax:
+        relaxed = tuple(invariants[:relax])
+        targets = tuple(tracker.initial[:relax])
     state = s0
     h_next = dt
     attempts = halvings = 0
@@ -434,10 +428,10 @@ def _integrate(
                 h_next = h / 2.0 if eps == np.inf else propose_step(eps, h, controller)
                 continue
         gamma_total, residual = 0.0, None
-        if relaxer is None:
+        if not relax:
             state = state.with_u(inc.u_next, t=state.t + h)
         else:
-            out = _solve(relaxer, state, inc, h)
+            out = _relax(relaxed, targets, state, inc, h, conservation_tol)
             if not out.converged:
                 record.log(
                     StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
@@ -478,28 +472,33 @@ def _integrate(
 def adaptive_integrate(
     s0: GridState,
     stepper,
-    relaxer,
     cfg: ControllerConfig,
     T: float,
     dt_initial: float,
     invariants=None,
+    relax: int = 0,
+    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Hybrid adaptive integration to time T.
 
     Per attempt: take an embedded step, compute the weighted error estimate;
     estimates >= 1 reject the step and retry with the proposed size.
-    Otherwise relaxation runs; a residual at or above the conservation
-    tolerance rejects the step and retries at half the size.  Accepted steps
-    advance time by (1 + gamma_total) * dt and continue with the proposed
-    size.  The final step's nominal size is shrunk to land on T; the exact
-    landing differs by gamma_total * dt, which the record reports.
+    Otherwise, with ``relax`` = 1 or 2, relaxation restores the first
+    ``relax`` of the tracked ``invariants`` to their values at s0; a residual
+    at or above ``conservation_tol`` rejects the step and retries at half
+    the size.  Accepted steps advance time by (1 + gamma_total) * dt and
+    continue with the proposed size.  The final step's nominal size is
+    shrunk to land on T; the exact landing differs by gamma_total * dt,
+    which the record reports.
 
     A trial step producing non-finite values, or an error estimate that
     overflows, counts as an error rejection at half the step; the run aborts
     when dt falls below cfg.dt_min.
     """
-    return _integrate(s0, stepper, dt_initial, T, relaxer, cfg, invariants, observer)
+    return _integrate(
+        s0, stepper, dt_initial, T, cfg, invariants, relax, conservation_tol, observer
+    )
 
 
 def integrate_imex(
@@ -507,15 +506,18 @@ def integrate_imex(
     stepper,
     dt: float,
     T: float,
-    relaxer=None,
     invariants=None,
+    relax: int = 0,
+    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
-    """Fixed-step ImEx march, optionally with relaxation each step.
+    """Fixed-step ImEx march that tracks ``invariants`` and, with ``relax``
+    = 1 (the mass) or 2 (mass and energy), relaxes the first ``relax`` of
+    them each step.
 
-    When a relaxation solve fails to converge the step is retried at half
-    the size (and the following step resumes the nominal dt); after 60
-    halvings of one step the run aborts.  The last step's nominal size is
-    shrunk to land on T.
+    When a relaxation solve fails to converge (residual at or above
+    ``conservation_tol``) the step is retried at half the size, and the
+    following step resumes the nominal dt; after 60 halvings of one step
+    the run aborts.  The last step's nominal size is shrunk to land on T.
     """
-    return _integrate(s0, stepper, dt, T, relaxer, None, invariants, observer)
+    return _integrate(s0, stepper, dt, T, None, invariants, relax, conservation_tol, observer)

@@ -33,7 +33,6 @@ from .core import (
     DimensionMismatchError,
     Grid,
     UnsupportedBoundaryError,
-    ValueEquality,
     dft_forward,
     dft_inverse,
 )
@@ -55,17 +54,16 @@ FLOW_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralOperator(ValueEquality):
+class SpectralOperator:
     """Periodic stiff term u -> f(u) realized as a Fourier multiplier.
 
-    Equal by value on grid and symbol; the phase and shift memos are
-    caches.
+    The phase and shift memos are caches.
     """
 
     grid: Grid
     symbol: np.ndarray
-    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _phases: dict = field(default_factory=dict, init=False, repr=False)
+    _shifts: dict = field(default_factory=dict, init=False, repr=False)
 
     def _check(self, u: np.ndarray) -> None:
         if u.shape[0] != self.grid.m:

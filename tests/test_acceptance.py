@@ -262,7 +262,6 @@ def test_criterion_7_adaptive_speedup():
     # wall stays under a minute.
     from nlslab.relaxation import (
         ControllerConfig,
-        Relaxer,
         adaptive_integrate,
         integrate_imex,
         make_imex_stepper,
@@ -278,20 +277,14 @@ def test_criterion_7_adaptive_speedup():
     stiff, nonstiff = spectral_parts(op, problem.b)
     stepper = make_imex_stepper(tab, stiff, nonstiff)
 
-    controller = ControllerConfig(
-        tau_abs=1e-6, tau_rel=1e-6, embedded_order=tab.embedded_order
-    )
+    controller = ControllerConfig(tol=1e-6, embedded_order=tab.embedded_order)
+    mass = [mass_functional()]
 
     def run_fixed():
-        return integrate_imex(
-            s0, stepper, 1 / 4000, T, relaxer=Relaxer([mass_functional()], s0)
-        )
+        return integrate_imex(s0, stepper, 1 / 4000, T, mass, relax=1)
 
     def run_ec():
-        return adaptive_integrate(
-            s0, stepper, Relaxer([mass_functional()], s0), controller, T,
-            dt_initial=1 / 4000,
-        )
+        return adaptive_integrate(s0, stepper, controller, T, 1 / 4000, mass, relax=1)
 
     s_fixed, rec_fixed = run_fixed()
     s_ec, rec_ec = run_ec()

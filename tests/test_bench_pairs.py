@@ -20,7 +20,8 @@ def _load_pairs():
     return module
 
 
-def _runs(wall, passed):
+def _runs(wall, passed, digests=None):
+    digests = digests or ["d"] * len(wall)
     return [
         {
             "result": {
@@ -28,9 +29,9 @@ def _runs(wall, passed):
                 "correct": True,
                 "failed": 0,
             },
-            "info": {"digest": "d", "seed": k},
+            "info": {"digest": digest, "seed": k},
         }
-        for k, (w, p) in enumerate(zip(wall, passed))
+        for k, (w, p, digest) in enumerate(zip(wall, passed, digests))
     ]
 
 
@@ -69,3 +70,22 @@ def test_a_wide_parent_spread_is_unresolved_unless_every_run_wins():
     wide = [40, 60, 100, 120, 80]  # quartiles 60 and 100: 50% of the median
     assert _compare(wide, [75, 85, 80, 90, 70])["wall_ref"]["unresolved"]
     assert not _compare(wide, [30, 35, 31, 36, 33])["wall_ref"]["unresolved"]
+
+
+@pytest.mark.parametrize(
+    "parent_digests, change_digests, match",
+    [
+        (["a"] * 3, ["a"] * 3, True),
+        (["a"] * 3, ["a", "b", "a"], False),
+        (["a"] * 3, ["b"] * 3, False),
+        (["a", "b", "a"], ["a", "b", "a"], False),  # the parent disagrees with itself
+    ],
+)
+def test_digests_match_when_every_change_run_has_the_parent_digest(
+    parent_digests, change_digests, match
+):
+    runs = {
+        "parent": _runs([80] * 3, [1.0] * 3, parent_digests),
+        "change": _runs([80] * 3, [1.0] * 3, change_digests),
+    }
+    assert _load_pairs().summarize(runs, METRICS)["digests_match"] is match

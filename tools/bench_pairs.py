@@ -11,10 +11,12 @@ Pair k uses seed first_seed + k on both sides; the parent runs first in even
 pairs, the change in odd ones.  Within a pair the workloads run in the order
 given.  Each run's value of a metric is bench/run.py's own figure (a median
 over its calls); the record gives, per workload and side, the runs, their
-median and quartiles, the output digests and whether every run was correct,
-and per metric how many pairs the change won (ties count for neither side)
-and whether the claim rule holds: the change wins at least nine tenths of
-the pairs and the medians differ by more than the parent's quartile spread.
+median and quartiles, the output digests and whether every run was correct;
+per workload, whether the outputs are the parent's (``digests_match``: the
+parent's runs agree on one digest and every change run has it); and per
+metric how many pairs the change won (ties count for neither side) and
+whether the claim rule holds: the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's quartile spread.
 The no-regression verdict per metric: ``within_bound`` when the change's
 median is worse than the parent's by no more than the metric's relative
 ``bound``, and ``unresolved`` when the parent's quartile spread, relative to
@@ -102,6 +104,8 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             "unresolved": spread > m["bound"] * scale and not every_run_wins,
         }
     out["comparisons"] = comparisons
+    parent_digests = out["parent"]["digests"]
+    out["digests_match"] = len(parent_digests) == 1 and out["change"]["digests"] == parent_digests
     return out
 
 
