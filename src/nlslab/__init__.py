@@ -30,7 +30,6 @@ from .relaxation import (
     propose_step,
     relax_multi,
     relax_single,
-    relaxed_update,
 )
 from .spectral import SpectralOperator, spectral_operator
 from .splitting import SplittingScheme, integrate_splitting, scheme, splitting_step
@@ -66,7 +65,6 @@ __all__ = [
     "propose_step",
     "relax_multi",
     "relax_single",
-    "relaxed_update",
     "scheme",
     "spectral_operator",
     "splitting_step",

@@ -490,10 +490,13 @@ class InvariantTracker:
         self.initial = [f.evaluate(s0) for f in functionals]
         self.max_drift = [0.0 for _ in functionals]
 
-    def update(self, s: GridState) -> float:
+    def update(self, s: GridState, measured: tuple[float, ...]) -> float:
+        """Record the drifts at s and return the largest.  The first
+        ``len(measured)`` drifts are taken as given (relaxation measured
+        them on s); only the other invariants are evaluated."""
         worst = 0.0
         for i, f in enumerate(self.functionals):
-            drift = abs(f.evaluate(s) - self.initial[i])
+            drift = measured[i] if i < len(measured) else abs(f.evaluate(s) - self.initial[i])
             if drift > self.max_drift[i]:
                 self.max_drift[i] = drift
             worst = max(worst, drift)

@@ -25,7 +25,10 @@ owns a run's invariants: take a step, estimate its error if a controller
 is given, relax the first ``relax`` tracked invariants if asked, then
 accept or reject.  Relaxation is thus a step-level post-process that
 composes with step-size control (Ranocha, Sayyari, Dalcin, Parsani and
-Ketcheson, SISC 42(2), 2020).  A relaxation failure halves the step.
+Ketcheson, SISC 42(2), 2020).  A relaxation failure halves the step.  The
+solve is the one measurement of a relaxed state: its outcome carries the
+drifts it measured at the returned gamma, and the loop accepts that very
+vector, evaluating only the invariants it does not relax.
 """
 
 from __future__ import annotations
@@ -66,15 +69,17 @@ class RelaxationOutcome:
     """Result of one relaxation solve.
 
     ``gamma_total`` is gamma1 + gamma2 and scales the time advance;
-    ``residual`` is the 2-norm of the conservation equations at the returned
-    parameters.  ``converged`` implies the residual beat the conservation
-    tolerance the solve was run with.
+    ``drifts`` are the invariants' measured |f_k(u) - target_k| at the
+    returned parameters, and ``residual`` is their 2-norm.  ``converged``
+    implies the residual beat the conservation tolerance the solve was run
+    with.
     """
 
     gamma1: float
     gamma2: float
     gamma_total: float
     residual: float
+    drifts: tuple[float, ...]
     iterations: int
     converged: bool
 
@@ -149,7 +154,7 @@ def _smallest_magnitude_root(a: float, b: float, c: float) -> float | None:
 def _relaxed_vector(inc: StepIncrements, dt: float, gamma1, gamma2=0.0) -> np.ndarray:
     """u_next + dt*(gamma1*d1 + gamma2*d2), the one formula for a relaxed
     state: the solvers measure their residuals on exactly the vector that
-    :func:`relaxed_update` accepts."""
+    the step loop accepts."""
     step = gamma1 * inc.d1 if gamma2 == 0.0 else gamma1 * inc.d1 + gamma2 * inc.d2
     return inc.u_next + dt * step
 
@@ -159,7 +164,7 @@ def relax_single(
     inc: StepIncrements,
     dt: float,
     inv: InvariantFunctional,
-    target: float | None = None,
+    target: float,
     conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Find gamma1 restoring the mass along direction d1.
@@ -172,8 +177,6 @@ def relax_single(
     """
     if inv.kind != "mass":
         raise ConfigurationError(f"single relaxation enforces the mass, not {inv.kind!r}")
-    if target is None:
-        target = inv.evaluate(un)
     dx = un.grid.dx
 
     def measured(gamma: float) -> float:
@@ -181,7 +184,7 @@ def relax_single(
 
     def outcome(gamma: float, residual: float, iterations: int) -> RelaxationOutcome:
         r = abs(residual)
-        return RelaxationOutcome(gamma, 0.0, gamma, r, iterations, r < conservation_tol)
+        return RelaxationOutcome(gamma, 0.0, gamma, r, (r,), iterations, r < conservation_tol)
 
     un1 = inc.u_next
     d = inc.d1
@@ -243,7 +246,7 @@ def relax_multi(
     inc: StepIncrements,
     dt: float,
     functionals: tuple[InvariantFunctional, InvariantFunctional],
-    targets: tuple[float, float] | None = None,
+    targets: tuple[float, float],
     conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Solve the 2x2 conservation system for (gamma1, gamma2).
@@ -257,8 +260,6 @@ def relax_multi(
     iteration yields a non-converged outcome for step-halving fallback.
     """
     f1, f2 = functionals
-    if targets is None:
-        targets = (f1.evaluate(un), f2.evaluate(un))
 
     def measured(gamma: np.ndarray) -> tuple[np.ndarray, float]:
         state = un.with_u(_relaxed_vector(inc, dt, *gamma))
@@ -266,10 +267,10 @@ def relax_multi(
         return r, float(np.hypot(*r))
 
     best_gamma = np.zeros(2)
-    r0, best_norm = measured(best_gamma)  # 0 ends the solve with no iteration
+    best_r, best_norm = measured(best_gamma)  # 0 ends the solve with no iteration
     A, B = dt * inc.d1, dt * inc.d2
     coeffs = np.array([f.restrict(inc.u_next, A, B, un.grid) for f in functionals])
-    coeffs[:, 0, 0] = r0  # coeffs[k, i, j] multiplies g1**i * g2**j in residual k
+    coeffs[:, 0, 0] = best_r  # coeffs[k, i, j] multiplies g1**i * g2**j in residual k
     by_g1 = coeffs[:, 1:, :] * _POWERS[1:, None]
     by_g2 = coeffs[:, :, 1:] * _POWERS[1:]
 
@@ -282,35 +283,26 @@ def relax_multi(
         return np.column_stack([by_g1 @ p2 @ p1[:4], by_g2 @ p2[:4] @ p1])
 
     gamma, _, _, iterations = _damped_newton(
-        model, jacobian, best_gamma, r0, best_norm, _MAX_NEWTON_ITERATIONS
+        model, jacobian, best_gamma, best_r, best_norm, _MAX_NEWTON_ITERATIONS
     )
     if gamma.any():
         # Full steps only above the tolerance: an attempt without a nearby
         # root then costs a single extra evaluation.
-        gamma, _, norm, polished = _damped_newton(
+        gamma, r, norm, polished = _damped_newton(
             measured, jacobian, gamma, *measured(gamma), _POLISH_STEPS, conservation_tol
         )
         iterations += polished
         if norm < best_norm:
-            best_gamma, best_norm = gamma, norm
+            best_gamma, best_r, best_norm = gamma, r, norm
     return RelaxationOutcome(
         float(best_gamma[0]),
         float(best_gamma[1]),
         float(best_gamma.sum()),
         best_norm,
+        tuple(np.abs(best_r).tolist()),
         iterations,
         best_norm < conservation_tol,
     )
-
-
-def relaxed_update(
-    un: GridState, inc: StepIncrements, dt: float, out: RelaxationOutcome
-) -> GridState:
-    """Apply the relaxed update; time advances by (1 + gamma_total) * dt."""
-    if not out.converged:
-        raise ConfigurationError("relaxed_update called with a non-converged outcome")
-    u = _relaxed_vector(inc, dt, out.gamma1, out.gamma2)
-    return un.with_u(u, t=un.t + (1.0 + out.gamma_total) * dt)
 
 
 def make_imex_stepper(tab: ImExTableau, fim, fex):
@@ -358,7 +350,7 @@ def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float, 
     except ConfigurationError:
         raise
     except (OverflowError, ValueError):
-        return RelaxationOutcome(0.0, 0.0, 0.0, float("inf"), 0, False)
+        return RelaxationOutcome(0.0, 0.0, 0.0, np.inf, (np.inf,) * len(functionals), 0, False)
 
 
 def _integrate(
@@ -380,17 +372,19 @@ def _integrate(
     (adaptive_integrate).  The loop tracks the drift of ``invariants`` from
     their values at s0, and relaxation enforces the first ``relax`` of them
     against those same values; either way a relaxation failure retries the
-    step at half the size.
+    step at half the size.  An accepted step logs the relaxation residual
+    or, unrelaxed, the largest drift of the tracked invariants at that step.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
     invariants = list(invariants or ())
-    if relax not in (0, 1, 2) or relax > len(invariants):
+    kinds = [f.kind for f in invariants]
+    if relax not in (0, 1, 2) or relax > len(kinds) or (relax == 1 and kinds[0] != "mass"):
         raise ConfigurationError(
-            f"relax must be 0, 1 or 2 and at most the {len(invariants)} tracked "
-            f"invariants, got {relax!r}"
+            f"relax must be 0, 1 or 2 and at most the {len(kinds)} tracked invariants, "
+            f"and relax=1 enforces the mass first; got relax={relax!r} for {kinds}"
         )
     if controller is not None:
         dt_min = controller.dt_min if controller.dt_min is not None else 1e-12 * (T - s0.t)
@@ -427,7 +421,7 @@ def _integrate(
                 record.log(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
                 h_next = h / 2.0 if eps == np.inf else propose_step(eps, h, controller)
                 continue
-        gamma_total, residual = 0.0, None
+        gamma_total, residual, measured = 0.0, None, ()
         if not relax:
             state = state.with_u(inc.u_next, t=state.t + h)
         else:
@@ -444,11 +438,12 @@ def _integrate(
                     )
                 h_next = h / 2.0
                 continue
-            state = relaxed_update(state, inc, h, out)
-            gamma_total, residual = out.gamma_total, out.residual
+            u = _relaxed_vector(inc, h, out.gamma1, out.gamma2)
+            state = state.with_u(u, t=state.t + (1.0 + out.gamma_total) * h)
+            gamma_total, residual, measured = out.gamma_total, out.residual, out.drifts
         if tracker is not None:
             try:
-                drift = tracker.update(state)
+                drift = tracker.update(state, measured)
             except (OverflowError, ValueError) as exc:
                 raise NumericalFailureError(
                     f"invariant sums overflowed after step {attempts} at t={state.t:.6g}"
