@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment scenarios.
 
 Each subcommand selects a scenario; ``--config`` points at a key=value
-document and the remaining flags override individual keys.  Run
+document and the remaining flags override individual keys, each parsed and
+checked by the same code as that key in a document.  Run
 ``nlslab <scenario> --help`` for the override list, and see the README for
 the config schema.
 """
@@ -17,7 +18,6 @@ from .core import ConfigurationError
 from .harness import (
     ExperimentConfig,
     parse_config,
-    parse_method,
     parse_value,
     run_scenario,
     write_scenario,
@@ -32,6 +32,17 @@ _SUBCOMMANDS = {
 }
 
 
+# Flags that override one config key each, parsed like the key in a document.
+_OVERRIDES = {
+    "method": "run a single method, e.g. SP-ImEx4(R)",
+    "dt": "fixed or initial step size (accepts p/q)",
+    "m": "number of grid points",
+    "T": "final time (accepts p/q)",
+    "out": "output path for the aggregate table",
+    "format": "output format, csv or json",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlslab",
@@ -42,12 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {scenario} scenario")
         p.set_defaults(scenario=scenario)
         p.add_argument("--config", type=Path, help="key=value config document")
-        p.add_argument("--method", help="run a single method, e.g. SP-ImEx4(R)")
-        p.add_argument("--dt", type=str, help="fixed or initial step size (accepts p/q)")
-        p.add_argument("--m", type=int, help="number of grid points")
-        p.add_argument("--T", type=str, help="final time (accepts p/q)")
-        p.add_argument("--out", type=Path, help="output path for the aggregate table")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        for key, text in _OVERRIDES.items():
+            p.add_argument(f"--{key}", help=text)
     return parser
 
 
@@ -69,18 +76,13 @@ def main(argv=None) -> int:
                 )
         else:
             cfg = ExperimentConfig(scenario=args.scenario)
-        if args.method is not None:
-            cfg = replace(cfg, methods=(parse_method(args.method),))
+        for key in _OVERRIDES:
+            text = getattr(args, key)
+            if text is not None:
+                attr, value = parse_value(key, text)
+                cfg = replace(cfg, **{attr: value})
         if args.dt is not None:
-            cfg = replace(cfg, dt=parse_value("dt", args.dt)[1], dts=())
-        if args.m is not None:
-            cfg = replace(cfg, m=args.m)
-        if args.T is not None:
-            cfg = replace(cfg, T=parse_value("T", args.T)[1])
-        if args.out:
-            cfg = replace(cfg, out=str(args.out))
-        if args.format:
-            cfg = replace(cfg, fmt=args.format)
+            cfg = replace(cfg, dts=())  # a flag dt is the one step size
         result = run_scenario(cfg)
         written = write_scenario(cfg, result)
     except ConfigurationError as exc:

@@ -165,27 +165,19 @@ def make_grid(x_left: float, x_right: float, m: int, bc: str = PERIODIC) -> Grid
 
 @dataclass(frozen=True)
 class Problem:
-    """Continuous problem instance: i*u_t + a_coef*u_xx scaled dynamics.
+    """Continuous problem instance on the periodic box [x_left, x_right].
 
     The evolution solved throughout is u_t = i*a*u_xx + i*b*|u|^2*u.  The
     classic focusing equation has a = 1 and b > 0; the semiclassical scaling
     uses a = eps/2 with b the nonlinear coefficient after dividing through
-    by eps (see :func:`nlslab.oracles.semiclassical_problem`).
+    by eps (see :func:`nlslab.oracles.semiclassical_problem`).  The domain
+    is checked where it is gridded, by :func:`make_grid`.
     """
 
     x_left: float
     x_right: float
     a: float
     b: float
-    bc: str = PERIODIC
-
-    def __post_init__(self):
-        if not self.x_left < self.x_right:
-            raise ConfigurationError(
-                f"degenerate domain [{self.x_left}, {self.x_right}]"
-            )
-        if self.bc not in BOUNDARY_KINDS:
-            raise ConfigurationError(f"unknown boundary kind {self.bc!r}")
 
 
 @dataclass
@@ -351,13 +343,16 @@ class InvariantFunctional:
     :func:`as_real_pairs`, consistent with central finite differences of
     ``evaluate``.  ``restrict(u0, A, B, grid)`` returns the coefficient array
     of the polynomial ``evaluate(u0 + g1*A + g2*B) - evaluate(u0)`` in
-    (g1, g2), as :func:`family_coefficients` does.
+    (g1, g2), as :func:`family_coefficients` does.  ``weight`` is the node
+    weight w the functional was built with, a scalar or a node array (the
+    natural FEM's trapezoid); single relaxation weighs its mass sums by it.
     """
 
     kind: str
     evaluate: Callable[[GridState], float]
     gradient: Callable[[GridState], np.ndarray]
     restrict: Callable[[np.ndarray, np.ndarray, np.ndarray, Grid], np.ndarray]
+    weight: float | np.ndarray = 1.0
 
 
 def mass_functional(weight=1.0) -> InvariantFunctional:
@@ -369,7 +364,9 @@ def mass_functional(weight=1.0) -> InvariantFunctional:
     def _restrict(u0, A, B, grid: Grid) -> np.ndarray:
         return family_coefficients(u0, A, B, grid.dx, grid.bc, mass_weight=weight)
 
-    return InvariantFunctional("mass", lambda s: discrete_mass(s, weight), _grad, _restrict)
+    return InvariantFunctional(
+        "mass", lambda s: discrete_mass(s, weight), _grad, _restrict, weight
+    )
 
 
 def _second_difference(v: np.ndarray, bc: str) -> np.ndarray:
@@ -407,7 +404,7 @@ def energy_functional(beta: float, a: float = 1.0, weight=1.0) -> InvariantFunct
         )
 
     return InvariantFunctional(
-        "energy", lambda s: discrete_energy(s, beta, a, weight), _grad, _restrict
+        "energy", lambda s: discrete_energy(s, beta, a, weight), _grad, _restrict, weight
     )
 
 
@@ -446,9 +443,15 @@ class StepRow:
     disposition: str
 
 
+def _counted(disposition: str) -> property:
+    """A read-only count of the logged steps with this disposition."""
+    return property(lambda record: sum(r.disposition == disposition for r in record.steps))
+
+
 @dataclass
 class RunRecord:
-    """Per-step log plus final-state diagnostics for one integration run."""
+    """Per-step log, one row per attempt, plus final-state diagnostics for one
+    integration run; the accepted and rejected counts are counted from the log."""
 
     steps: list[StepRow] = field(default_factory=list)
     final_t: float = 0.0
@@ -456,18 +459,10 @@ class RunRecord:
     max_mass_drift: float | None = None
     max_energy_drift: float | None = None
     runtime_seconds: float = 0.0
-    accepted: int = 0
-    eps_rejections: int = 0
-    conservation_rejections: int = 0
 
-    def log(self, row: StepRow) -> None:
-        self.steps.append(row)
-        if row.disposition == ACCEPTED:
-            self.accepted += 1
-        elif row.disposition == EPS_REJECTED:
-            self.eps_rejections += 1
-        elif row.disposition == CONSERVATION_REJECTED:
-            self.conservation_rejections += 1
+    accepted = _counted(ACCEPTED)
+    eps_rejections = _counted(EPS_REJECTED)
+    conservation_rejections = _counted(CONSERVATION_REJECTED)
 
     def summary(self) -> dict:
         return {

@@ -54,7 +54,7 @@ from .relaxation import (
     landing_tolerance,
     make_imex_stepper,
 )
-from .spectral import fem_operator, spectral_operator, spectral_parts
+from .spectral import cubic_term, fem_operator, spectral_operator
 
 
 _NAN = float("nan")
@@ -67,19 +67,19 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One fully discretized method: base scheme x relaxation x step control."""
+    """One fully discretized method: base scheme x relaxation x step control;
+    ``relax`` is 0, 1 (``(R)``, the mass) or 2 (``(MR)``, mass and energy)."""
 
     family: str
     discretization: str = "spectral"
-    relaxation: str = "none"  # none | single | multi
+    relax: int = 0
     error_control: bool = False
 
     @property
     def label(self) -> str:
         prefix = "SP" if self.discretization == "spectral" else "FEM"
-        tag = {"none": "", "single": "(R)", "multi": "(MR)"}[self.relaxation]
         ec = "(EC)" if self.error_control else ""
-        return f"{prefix}-{self.family}{tag}{ec}"
+        return f"{prefix}-{self.family}{('', '(R)', '(MR)')[self.relax]}{ec}"
 
     @property
     def is_splitting(self) -> bool:
@@ -103,7 +103,7 @@ def parse_method(text: str) -> MethodSpec:
     if "R" in mods and "MR" in mods:
         raise ConfigurationError(f"method {text!r} combines (R) and (MR)")
     disc = {"SP": "spectral", "FEM": "fem", None: "spectral"}[match.group("prefix")]
-    relax = "single" if "R" in mods else ("multi" if "MR" in mods else "none")
+    relax = 1 if "R" in mods else (2 if "MR" in mods else 0)
     spec = MethodSpec(match.group("base"), disc, relax, "EC" in mods)
     if spec.is_splitting:
         if disc == "fem":
@@ -114,7 +114,7 @@ def parse_method(text: str) -> MethodSpec:
             raise ConfigurationError(
                 f"method {text!r}: splitting methods take no (R)/(MR)/(EC) modifiers"
             )
-    if relax == "multi" and disc != "fem":
+    if relax == 2 and disc != "fem":
         raise ConfigurationError(
             f"method {text!r}: multiple relaxation requires an energy-conserving "
             "semi-discretization (use the FEM- prefix)"
@@ -178,14 +178,31 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _parse_scenario(text: str) -> str:
+    value = text.strip()
+    if value not in SCENARIOS:
+        raise ConfigurationError(f"unknown scenario {value!r}; known: {SCENARIOS}")
+    return value
+
+
+def _one_of(kind: str, known: tuple[str, ...]):
+    def parse(text: str) -> str:
+        value = text.strip()
+        if value not in known:
+            raise ConfigurationError(f"unknown {kind} {value!r}")
+        return value
+
+    return parse
+
+
 _KEY_PARSERS = {
-    "scenario": ("scenario", str.strip),
+    "scenario": ("scenario", _parse_scenario),
     "method": ("methods", lambda v: (parse_method(v),)),
     "methods": ("methods", _list_of(parse_method)),
     "nsolitons": ("n_solitons", lambda v: int(v)),
     "n": ("n_solitons", lambda v: int(v)),
     "eps": ("eps", _parse_number),
-    "phase": ("phase", str.strip),
+    "phase": ("phase", _one_of("phase kind", ("constant_phase", "varying_phase"))),
     "m": ("m", lambda v: int(v)),
     "dx": ("dx", _parse_number),
     "dt": ("dt", _parse_number),
@@ -194,7 +211,7 @@ _KEY_PARSERS = {
     "tol": ("tol", _parse_number),
     "t_out": ("t_out", _list_of(_parse_number)),
     "out": ("out", str.strip),
-    "format": ("fmt", str.strip),
+    "format": ("fmt", _one_of("format", ("csv", "json"))),
     "seed": ("seed", lambda v: int(v)),
     "fit_t_min": ("fit_t_min", _parse_number),
     "fit_t_max": ("fit_t_max", _parse_number),
@@ -209,9 +226,11 @@ _KEY_PARSERS = {
 
 
 def parse_value(key: str, text: str) -> tuple[str, object]:
-    """(config attribute, parsed value) for one ``key = text`` pair.
+    """(config attribute, parsed value) for one ``key = text`` pair, of a
+    config document or a CLI override alike.
 
-    Any failure to parse is reported as a ConfigurationError.
+    Any failure to parse, or a value outside a key's choices, is reported as
+    a ConfigurationError.
     """
     if key not in _KEY_PARSERS:
         raise ConfigurationError(f"unknown config key {key!r}")
@@ -227,29 +246,17 @@ def parse_value(key: str, text: str) -> tuple[str, object]:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat key=value document into a validated config."""
     values: dict = {}
-    pairs: list[str] = []
     for raw_line in text.splitlines():
-        content = raw_line.split("#", 1)[0]
-        pairs.extend(part for part in content.split(",") if part.strip())
-    for line in pairs:
-        line = line.strip()
-        if "=" not in line:
-            raise ConfigurationError(f"expected key=value, got {line!r}")
-        key, value = (p.strip() for p in line.split("=", 1))
-        attr, parsed = parse_value(key, value)
-        values[attr] = parsed
+        for pair in filter(str.strip, raw_line.split("#", 1)[0].split(",")):
+            if "=" not in pair:
+                raise ConfigurationError(f"expected key=value, got {pair.strip()!r}")
+            key, value = (p.strip() for p in pair.split("=", 1))
+            attr, parsed = parse_value(key, value)
+            values[attr] = parsed
     if not values:
         raise ConfigurationError("empty configuration document")
     if "scenario" not in values:
         raise ConfigurationError("config must set 'scenario'")
-    if values["scenario"] not in SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario {values['scenario']!r}; known: {SCENARIOS}"
-        )
-    if values.get("fmt", "csv") not in ("csv", "json"):
-        raise ConfigurationError(f"unknown format {values.get('fmt')!r}")
-    if values.get("phase", "constant_phase") not in ("constant_phase", "varying_phase"):
-        raise ConfigurationError(f"unknown phase kind {values.get('phase')!r}")
     return ExperimentConfig(**values)
 
 
@@ -281,7 +288,7 @@ def _grid_for(cfg: ExperimentConfig, problem: Problem) -> Grid:
         m = round(length * 32)
     else:
         m = 1120 if cfg.n_solitons == 2 else 2240
-    return make_grid(problem.x_left, problem.x_right, m, problem.bc)
+    return make_grid(problem.x_left, problem.x_right, m)
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid) -> GridState:
@@ -325,14 +332,12 @@ def run_method(
             s0, sch, op, problem.b, dt, T, invariants=invariants, observer=observer
         )
     tab = tableau(method.family)
-    stepper = make_imex_stepper(tab, *spectral_parts(op, problem.b))
-    relax = {"none": 0, "single": 1, "multi": 2}[method.relaxation]
+    stepper = make_imex_stepper(tab, op, cubic_term(problem.b))
+    tracking = (invariants, method.relax, cfg.conservation_tol, observer)
     if method.error_control:
         controller = ControllerConfig(cfg.tol, tab.embedded_order, cfg.max_growth, cfg.dt_min)
-        return adaptive_integrate(
-            s0, stepper, controller, T, dt, invariants, relax, cfg.conservation_tol, observer
-        )
-    return integrate_imex(s0, stepper, dt, T, invariants, relax, cfg.conservation_tol, observer)
+        return adaptive_integrate(s0, stepper, controller, T, dt, *tracking)
+    return integrate_imex(s0, stepper, dt, T, *tracking)
 
 
 def _soliton_error(cfg: ExperimentConfig, state: GridState) -> float:
@@ -389,9 +394,14 @@ def fit_growth_exponent(series, window: tuple[float, float]) -> float:
         raise FitError(
             f"need at least 10 positive samples in [{t_a}, {t_b}], found {len(points)}"
         )
-    ts = np.log([p[0] for p in points])
-    es = np.log([p[1] for p in points])
-    return float(np.polyfit(ts, es, 1)[0])
+    return _loglog_slope(points)
+
+
+def _loglog_slope(points) -> float:
+    """Least-squares slope of log(y) against log(x) over (x, y) points."""
+    xs = np.log([p[0] for p in points])
+    ys = np.log([p[1] for p in points])
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 class ErrorSampler:
@@ -497,7 +507,8 @@ def run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _tail_slope(dts, errors) -> float:
     """Slope over the asymptotic tail: the longest suffix (in decreasing dt)
-    with finite, monotonically decreasing errors below 1.0."""
+    with finite, monotonically decreasing errors below 1.0, fitted on its
+    (at most) four smallest dts."""
     pairs = sorted(zip(dts, errors), key=lambda p: -p[0])
     tail: list[tuple[float, float]] = []
     for dt, err in pairs:
@@ -509,11 +520,7 @@ def _tail_slope(dts, errors) -> float:
         tail.append((dt, err))
     if len(tail) < 2:
         return float("nan")
-    if len(tail) > 4:
-        tail = tail[-4:]
-    ld = np.log([p[0] for p in tail])
-    le = np.log([p[1] for p in tail])
-    return float(np.polyfit(ld, le, 1)[0])
+    return _loglog_slope(tail[-4:])
 
 
 def run_invariant_table(cfg: ExperimentConfig) -> ScenarioResult:
@@ -644,19 +651,13 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
 STEP_COLUMNS = ["t", "dt", "eps", "Gamma", "residual", "disposition"]
 
 
-def _step_rows(record: RunRecord) -> list[list]:
-    return [
-        [row.t, row.dt, row.eps, row.gamma_total, row.residual, row.disposition]
-        for row in record.steps
-    ]
-
-
 def _record_payload(record: RunRecord, echo: dict | None) -> dict:
+    steps = [[r.t, r.dt, r.eps, r.gamma_total, r.residual, r.disposition] for r in record.steps]
     return {
         "config": echo,
         "summary": record.summary(),
         "step_columns": STEP_COLUMNS,
-        "steps": _step_rows(record),
+        "steps": steps,
     }
 
 

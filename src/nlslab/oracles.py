@@ -135,7 +135,7 @@ def soliton_beta(n: int) -> float:
 
 def soliton_problem(n: int, x_left: float = -35.0, x_right: float = 35.0) -> Problem:
     """Multi-soliton benchmark: sech initial data, beta = 2 n^2, periodic box."""
-    return Problem(x_left, x_right, a=1.0, b=soliton_beta(n), bc=PERIODIC)
+    return Problem(x_left, x_right, a=1.0, b=soliton_beta(n))
 
 
 def soliton_initial(n: int, grid: Grid) -> tuple[GridState, float]:
@@ -156,7 +156,7 @@ def semiclassical_problem(eps: float, beta: float = 1.0) -> Problem:
     """
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    return Problem(-8.0, 8.0, a=eps / 2.0, b=beta / eps, bc=PERIODIC)
+    return Problem(-8.0, 8.0, a=eps / 2.0, b=beta / eps)
 
 
 def semiclassical_initial(kind: str, eps: float, grid: Grid) -> GridState:

@@ -169,11 +169,12 @@ def relax_single(
 ) -> RelaxationOutcome:
     """Find gamma1 restoring the mass along direction d1.
 
-    The mass is quadratic along d1, so the equation is solved in closed form
-    (smallest-magnitude real root, ties toward positive) and then polished
-    against the measured functional.  Without a real root the outcome is
-    gamma1 = 0 with its measured residual, converged if that residual beats
-    the tolerance.  An invariant of any other kind is refused.
+    The mass dx * sum(w*|u|^2), w the functional's node weight, is quadratic
+    along d1, so the equation is solved in closed form (smallest-magnitude
+    real root, ties toward positive) and then polished against the measured
+    functional.  Without a real root the outcome is gamma1 = 0 with its
+    measured residual, converged if that residual beats the tolerance.  An
+    invariant of any other kind is refused.
     """
     if inv.kind != "mass":
         raise ConfigurationError(f"single relaxation enforces the mass, not {inv.kind!r}")
@@ -188,9 +189,9 @@ def relax_single(
 
     un1 = inc.u_next
     d = inc.d1
-    s_uu = exact_sum(un1.real**2 + un1.imag**2)
-    s_ud = exact_sum(un1.real * d.real + un1.imag * d.imag)
-    s_dd = exact_sum(d.real**2 + d.imag**2)
+    s_uu = exact_sum(inv.weight * (un1.real**2 + un1.imag**2))
+    s_ud = exact_sum(inv.weight * (un1.real * d.real + un1.imag * d.imag))
+    s_dd = exact_sum(inv.weight * (d.real**2 + d.imag**2))
     a_coef = dx * dt * dt * s_dd
     b_coef = 2.0 * dx * dt * s_ud
     c_coef = dx * s_uu - target
@@ -395,7 +396,7 @@ def _integrate(
         targets = tuple(tracker.initial[:relax])
     state = s0
     h_next = dt
-    attempts = halvings = 0
+    halvings = 0
     tiny = landing_tolerance(T)
     started = time.perf_counter()
     while state.t < T - tiny:
@@ -405,11 +406,10 @@ def _integrate(
             )
         h = min(h_next, T - state.t)
         inc = step(state.u, h)
-        attempts += 1
         eps = None
         if controller is None:
             if not _finite(inc.u_next):
-                raise NumericalFailureError(f"non-finite state after step {attempts}")
+                raise NumericalFailureError(f"non-finite state after step {len(record.steps) + 1}")
         else:
             eps = np.inf
             if _finite(inc.u_next) and _finite(inc.d2):
@@ -418,7 +418,7 @@ def _integrate(
                 # Non-finite trial values, or an estimate that overflowed to
                 # NaN or inf, are logged as inf and retried at half the size.
                 eps = eps if np.isfinite(eps) else np.inf
-                record.log(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
+                record.steps.append(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
                 h_next = h / 2.0 if eps == np.inf else propose_step(eps, h, controller)
                 continue
         gamma_total, residual, measured = 0.0, None, ()
@@ -427,7 +427,7 @@ def _integrate(
         else:
             out = _relax(relaxed, targets, state, inc, h, conservation_tol)
             if not out.converged:
-                record.log(
+                record.steps.append(
                     StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
                 )
                 halvings += 1
@@ -446,13 +446,14 @@ def _integrate(
                 drift = tracker.update(state, measured)
             except (OverflowError, ValueError) as exc:
                 raise NumericalFailureError(
-                    f"invariant sums overflowed after step {attempts} at t={state.t:.6g}"
+                    f"invariant sums overflowed after step {len(record.steps) + 1} "
+                    f"at t={state.t:.6g}"
                 ) from exc
             if residual is None:
                 residual = drift
         if observer is not None:
             observer(state)
-        record.log(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
+        record.steps.append(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
         halvings = 0
         h_next = dt if controller is None else propose_step(eps, h, controller)
     record.runtime_seconds = time.perf_counter() - started

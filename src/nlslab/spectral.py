@@ -12,14 +12,15 @@ uses it.  The two discretizations differ only in the symbol:
   This is the complex view of the skew-symmetric real-pairs term
   -(a/dx^2) S of :mod:`nlslab.fem`, which stays as its reference definition.
 
-The exact sub-flows of operator splitting live here too.  A splitting run
-takes only a handful of distinct linear sub-step sizes, so each operator
-memoises its phase factors e^{dt*symbol} per exact dt, in a memo cleared
-once it holds FLOW_MEMO_SIZE factors.  The shifted denominators
-1 - mu*symbol of the implicit ImEx stages (one mu per step size) are
-memoised the same way.  The cubic sub-flow calls no cos or sin where its
-phase is below TINY_PHASE, most of a decaying state's tails, since the
-rounded results there are known exactly.
+An ImEx run steps the operator itself as its stiff part and
+:func:`cubic_term` as its explicit part.  The exact sub-flows of operator
+splitting live here too.  A splitting run takes only a handful of distinct
+linear sub-step sizes, so each operator memoises its phase factors
+e^{dt*symbol} per exact dt, in a memo cleared once it holds FLOW_MEMO_SIZE
+factors.  The shifted denominators 1 - mu*symbol of the implicit ImEx
+stages (one mu per step size) are memoised the same way.  The cubic
+sub-flow calls no cos or sin where its phase is below TINY_PHASE, most of a
+decaying state's tails, since the rounded results there are known exactly.
 """
 
 from __future__ import annotations
@@ -164,14 +165,12 @@ def nonlinear_flow(u: np.ndarray, b: float, dt: float) -> np.ndarray:
     return u * rotation
 
 
-def spectral_parts(op: SpectralOperator, b: float):
-    """(stiff, explicit nonlinear) pair for ImEx stepping.
+def cubic_term(b: float):
+    """The explicit term of ImEx stepping, the pointwise cubic
+    g(u)_j = i*b*|u_j|^2*u_j of both discretizations; the operator itself is
+    the stiff term: ``make_imex_stepper(tab, op, cubic_term(b))``."""
 
-    The operator itself is the stiff part; the nonlinear part is the
-    pointwise cubic g(u)_j = i*b*|u_j|^2*u_j shared by both discretizations.
-    """
-
-    def nonstiff(u: np.ndarray) -> np.ndarray:
+    def cubic(u: np.ndarray) -> np.ndarray:
         return 1j * b * (u.real**2 + u.imag**2) * u
 
-    return op, nonstiff
+    return cubic

@@ -266,7 +266,7 @@ def test_criterion_7_adaptive_speedup():
         integrate_imex,
         make_imex_stepper,
     )
-    from nlslab.spectral import spectral_parts
+    from nlslab.spectral import cubic_term
 
     eps, T = 0.05, 0.8
     problem = semiclassical_problem(eps)
@@ -274,8 +274,7 @@ def test_criterion_7_adaptive_speedup():
     op = spectral_operator(grid, problem.a)
     s0 = semiclassical_initial("constant_phase", eps, grid)
     tab = tableau("ImEx4")
-    stiff, nonstiff = spectral_parts(op, problem.b)
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
+    stepper = make_imex_stepper(tab, op, cubic_term(problem.b))
 
     controller = ControllerConfig(tol=1e-6, embedded_order=tab.embedded_order)
     mass = [mass_functional()]

@@ -24,7 +24,7 @@ from nlslab.fem import (
     stage_solve,
 )
 from nlslab.oracles import soliton_exact
-from nlslab.spectral import fem_operator, spectral_parts
+from nlslab.spectral import cubic_term, fem_operator
 
 A_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -269,9 +269,8 @@ def test_stiff_part_matches_rhs_linear_term():
     rng = np.random.default_rng(6)
     u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     via_rhs = op.rhs_pairs(as_real_pairs(u))
-    for part in _stiff_parts(grid, op):
-        stiff, nonstiff = spectral_parts(part, op.beta)
-        total = stiff.apply(u) + nonstiff(u)
+    for stiff in _stiff_parts(grid, op):
+        total = stiff.apply(u) + cubic_term(op.beta)(u)
         assert np.max(np.abs(total.real - via_rhs[0::2])) <= 1e-12
         assert np.max(np.abs(total.imag - via_rhs[1::2])) <= 1e-12
 

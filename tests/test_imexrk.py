@@ -10,7 +10,7 @@ from nlslab.fem import FemStiffPart, assemble
 from nlslab.imexrk import ImExTableau, imex_step, order_conditions_residual, tableau
 from nlslab.oracles import soliton_exact, soliton_initial
 from nlslab.relaxation import integrate_imex, make_imex_stepper
-from nlslab.spectral import SpectralOperator, fem_operator, spectral_operator, spectral_parts
+from nlslab.spectral import SpectralOperator, cubic_term, fem_operator, spectral_operator
 
 
 def test_registry_shapes():
@@ -155,8 +155,7 @@ def soliton_setup():
     grid = make_grid(-35, 35, 448)
     op = spectral_operator(grid, 1.0)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(op, beta)
-    return grid, s0, stiff, nonstiff
+    return grid, s0, op, cubic_term(beta)
 
 
 @pytest.mark.parametrize("name,order,tol", [("ImEx3", 3.0, 0.25), ("ImEx4", 4.0, 0.3)])
@@ -192,7 +191,7 @@ def test_embedded_difference_order(soliton_setup, name):
 def test_stage_kernel_matches_per_term_reference(name, make_operator, dt):
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(2, grid)
-    stiff, nonstiff = spectral_parts(make_operator(grid, 1.0), beta)
+    stiff, nonstiff = make_operator(grid, 1.0), cubic_term(beta)
     t = tableau(name)
     inc = imex_step(s0.u, t, dt, stiff, nonstiff)
     solve = functools.partial(shifted_solve, stiff)
@@ -212,7 +211,7 @@ def test_multiplier_step_transform_count(name, transforms, make_operator, monkey
     # per implicit stage and per increment; counted where a tracer counts.
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(2, grid)
-    stiff, nonstiff = spectral_parts(make_operator(grid, 1.0), beta)
+    stiff, nonstiff = make_operator(grid, 1.0), cubic_term(beta)
     calls = []
     for attr in ("dft_forward", "dft_inverse"):
         original = getattr(spectral, attr)

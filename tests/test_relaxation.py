@@ -26,6 +26,7 @@ from nlslab.relaxation import (
     ControllerConfig,
     RelaxationOutcome,
     _relaxed_vector,
+    _smallest_magnitude_root,
     adaptive_integrate,
     error_estimate,
     integrate_imex,
@@ -34,7 +35,7 @@ from nlslab.relaxation import (
     relax_multi,
     relax_single,
 )
-from nlslab.spectral import fem_operator, spectral_operator, spectral_parts
+from nlslab.spectral import cubic_term, fem_operator, spectral_operator
 
 
 def _increments(u_next, d1, d2=None):
@@ -144,6 +145,71 @@ def test_relax_single_without_a_root_measures_gamma_zero(tol, converged):
     assert out.residual == mass.evaluate(un.with_u(inc.u_next)) - 1.0 == 2.0**-51
     assert out.drifts == (out.residual,)
     assert out.converged is converged
+
+
+@pytest.mark.parametrize(
+    "coeffs, root",
+    [
+        ((0.0, 2.0, -1.0), 0.5),  # linear
+        ((0.0, 0.0, 0.0), 0.0),  # every x is a root
+        ((0.0, 0.0, 1.0), None),  # no root
+        ((2.0, 0.0, 0.0), 0.0),  # double root at 0: the symmetric pair branch
+        ((1.0, 0.0, -4.0), 2.0),  # +-2 tie: positive
+    ],
+    ids=["linear", "zero", "constant", "double-zero", "tie"],
+)
+def test_smallest_magnitude_root_branches(coeffs, root):
+    found = _smallest_magnitude_root(*coeffs)
+    assert found == root
+    if root == 0.0:
+        assert np.copysign(1.0, found) == 1.0
+
+
+def _natural_fem_step(m, x_left, x_right):
+    """Natural-boundary grid, its (mass, energy) pair and an ImEx4 stepper
+    built term by term on the assembled stiff part (the multiplier stepper
+    is periodic only)."""
+    grid = make_grid(x_left, x_right, m, bc=NATURAL)
+    op = assemble(m, grid.dx, NATURAL, beta=8.0)
+    stiff, cubic, tab = FemStiffPart(op), cubic_term(op.beta), tableau("ImEx4")
+
+    def step(u, h):
+        return StepIncrements(*per_term_step(u, tab, h, stiff.apply, stiff.solve, cubic))
+
+    return grid, conserved_functionals(op), step
+
+
+def test_relax_single_weighs_the_natural_mass_by_its_end_weights():
+    # The natural mass halves its end nodes.  Summing |u|^2 unweighted, the
+    # closed form solved another quadratic, which has no real root here:
+    # gamma = 0 at a residual of 3e-5.
+    grid, (mass, _), step = _natural_fem_step(16, -1.0, 1.0)
+    x = grid.nodes
+    un = GridState(grid, np.exp(1j * x) * (1 + x / 2))
+    out = relax_single(un, step(un.u, 0.02), 0.02, mass, mass.evaluate(un))
+    assert out.converged and out.gamma1 != 0.0 and out.iterations == 1
+    assert out.residual <= 1e-15
+    assert np.array_equal(mass.weight, [0.5] + [1.0] * 14 + [0.5])
+
+
+def test_single_relaxation_conserves_the_natural_boundary_mass(monkeypatch):
+    # Where the state reaches the ends, the unweighted closed form left a
+    # mass drift of 7.0e-13 and every solve took 4 polish steps.
+    import nlslab.relaxation as relaxation
+
+    grid, (mass, _), step = _natural_fem_step(32, -4.0, 4.0)
+    s0 = GridState(grid, 1 / np.cosh(grid.nodes) * np.exp(0.3j * grid.nodes))
+    outcomes = []
+
+    def solve(*args, **kwargs):
+        outcomes.append(relax_single(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(relaxation, "relax_single", solve)
+    _, record = integrate_imex(s0, step, 0.02, 0.1, [mass], relax=1)
+    assert (record.accepted, record.conservation_rejections) == (5, 0)
+    assert record.max_mass_drift <= 1e-15
+    assert max(out.iterations for out in outcomes) <= 2
 
 
 def test_relax_single_refuses_invariants_other_than_mass():
@@ -334,8 +400,7 @@ def test_relax_multi_matches_independent_root_finder():
 def test_relax_multi_reevaluation_reproduces_targets(fem_setup):
     grid, op, un = fem_setup
     pair = conserved_functionals(op)
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx4"), fem_operator(grid, op.a), cubic_term(op.beta))
     dt = 0.02
     inc = stepper(un.u, dt)
     targets = tuple(f.evaluate(un) for f in pair)
@@ -384,9 +449,9 @@ def _measured_residual(un, inc, dt, pair, targets, g1, g2):
 def test_relax_multi_residual_is_measured_at_the_returned_gamma(fem_setup):
     grid, op, un = fem_setup
     pair = conserved_functionals(op)
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
+    stepper = make_imex_stepper(tableau("ImEx4"), fem_operator(grid, op.a), cubic_term(op.beta))
     dt = 0.02
-    inc = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)(un.u, dt)
+    inc = stepper(un.u, dt)
     targets = (pair[0].evaluate(un), pair[1].evaluate(un))
     # An energy 1e-3 off its value has no root near (0, 0): Newton wanders
     # off and the attempt fails with a nonzero best point.
@@ -404,8 +469,7 @@ def test_relax_single_residual_is_measured_at_the_accepted_state(monkeypatch):
 
     grid = make_grid(-35, 35, 256)
     s0, beta = soliton_initial(2, grid)
-    parts = spectral_parts(spectral_operator(grid, 1.0), beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), *parts)
+    stepper = make_imex_stepper(tableau("ImEx4"), spectral_operator(grid, 1.0), cubic_term(beta))
     mass = mass_functional()
     target = mass.evaluate(s0)
     measured, solves, accepted = [], [], []
@@ -481,9 +545,9 @@ def test_relax_multi_conserves_the_natural_boundary_pair():
     un = GridState(grid, 1 / np.cosh(grid.nodes) * np.exp(0.3j * grid.nodes))
     # The stepper takes multipliers only; the natural variant's increments
     # come from the assembled stiff part, stepped term by term in state space.
-    stiff, nonstiff = spectral_parts(FemStiffPart(op), op.beta)
+    stiff = FemStiffPart(op)
     dt = 0.02
-    step = per_term_step(un.u, tableau("ImEx4"), dt, stiff.apply, stiff.solve, nonstiff)
+    step = per_term_step(un.u, tableau("ImEx4"), dt, stiff.apply, stiff.solve, cubic_term(op.beta))
     inc = StepIncrements(*step)
     targets = tuple(f.evaluate(un) for f in pair)
     out = relax_multi(un, inc, dt, pair, targets)
@@ -497,8 +561,7 @@ def test_single_relaxer_keeps_order_and_conservation():
     grid = make_grid(-35, 35, 448)
     op = spectral_operator(grid, 1.0)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(op, beta)
-    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx3"), op, cubic_term(beta))
     _, record = integrate_imex(s0, stepper, 0.01, 1.0, [mass_functional()], relax=1)
     assert record.max_mass_drift <= 5e-15
     assert record.accepted == 100
@@ -509,9 +572,8 @@ def test_gamma_scales_with_step_size():
     grid = make_grid(-35, 35, 448)
     op = spectral_operator(grid, 1.0)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(op, beta)
     tab = tableau("ImEx3")
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
+    stepper = make_imex_stepper(tab, op, cubic_term(beta))
     mass = mass_functional()
     gammas = []
     dts = [0.04, 0.02, 0.01, 0.005]
@@ -529,9 +591,8 @@ def test_adaptive_smooth_problem_grows_monotonically():
     op = spectral_operator(grid, 1.0)
     u0 = np.exp(-grid.nodes**2) + 0j
     s0 = GridState(grid, u0)
-    stiff, nonstiff = spectral_parts(op, 0.0)  # linear problem
     tab = tableau("ImEx4")
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
+    stepper = make_imex_stepper(tab, op, cubic_term(0.0))  # linear problem
     cfg = ControllerConfig(tol=1e-2, embedded_order=tab.embedded_order)
     _, record = adaptive_integrate(s0, stepper, cfg, 2.0, dt_initial=1e-3)
     assert record.eps_rejections == 0
@@ -550,9 +611,8 @@ def test_adaptive_rejects_on_conservation_and_halves(fem_setup):
         lambda s: 2.0 * mass.gradient(s),
         lambda *args: 2.0 * mass.restrict(*args),
     )
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
+    stepper = make_imex_stepper(tab, fem_operator(grid, op.a), cubic_term(op.beta))
     cfg = ControllerConfig(embedded_order=tab.embedded_order, dt_min=1e-4)
     with pytest.raises(NumericalFailureError):
         adaptive_integrate(un, stepper, cfg, 1.0, 0.01, [mass, doubled], relax=2)
@@ -563,9 +623,8 @@ def test_adaptive_conservation_rejection_follows_eps_acceptance():
     op = assemble(840, grid.dx, "periodic", beta=8.0)
     s0, _ = soliton_initial(2, grid)
     pair = conserved_functionals(op)
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
     tab = tableau("ImEx4")
-    stepper = make_imex_stepper(tab, stiff, nonstiff)
+    stepper = make_imex_stepper(tab, fem_operator(grid, op.a), cubic_term(op.beta))
     cfg = ControllerConfig(embedded_order=tab.embedded_order)
     _, record = adaptive_integrate(s0, stepper, cfg, 0.6, 0.05, list(pair), relax=2)
     rejections = [r for r in record.steps if r.disposition == CONSERVATION_REJECTED]
@@ -603,8 +662,7 @@ def test_fixed_step_landing_matches_final_time():
     grid = make_grid(-35, 35, 448)
     op = spectral_operator(grid, 1.0)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(op, beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx4"), op, cubic_term(beta))
     out, record = integrate_imex(s0, stepper, 0.03, 0.1, [mass_functional()], relax=1)
     last_nominal = record.steps[-1].dt
     assert abs(out.t - 0.1) <= abs(record.steps[-1].gamma_total) * last_nominal + 1e-15
@@ -619,8 +677,7 @@ def test_fixed_step_halving_cap_raises(fem_setup):
         lambda s: 2.0 * mass.gradient(s),
         lambda *args: 2.0 * mass.restrict(*args),
     )
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx4"), fem_operator(grid, op.a), cubic_term(op.beta))
     # No residual beats a zero tolerance, so every attempt is halved.  At the
     # default tolerance the run would go on: once a step is small enough to
     # conserve mass to 1e-12 unrelaxed, gamma = (0, 0) converges.
@@ -633,8 +690,7 @@ def test_fixed_step_overflow_in_relaxation_halves_the_step(fem_setup):
     # that the exact sums overflow.  Such steps must be halved, not raise.
     grid, op, un = fem_setup
     pair = conserved_functionals(op)
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx4"), fem_operator(grid, op.a), cubic_term(op.beta))
     with np.errstate(over="ignore", invalid="ignore"):
         _, record = integrate_imex(un, stepper, 1.5, 3.0, list(pair), relax=2)
     assert record.conservation_rejections > 0
@@ -646,8 +702,7 @@ def test_fixed_step_tracker_overflow_is_a_numerical_failure(fem_setup):
     # Unrelaxed at dt = 1.5 the state grows huge but stays finite, so the
     # tracked invariants' exact sums overflow after an accepted step.
     grid, op, un = fem_setup
-    stiff, nonstiff = spectral_parts(fem_operator(grid, op.a), op.beta)
-    stepper = make_imex_stepper(tableau("ImEx4"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx4"), fem_operator(grid, op.a), cubic_term(op.beta))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFailureError, match=r"after step \d+ at t="):
             integrate_imex(un, stepper, 1.5, 30.0, invariants=list(conserved_functionals(op)))
@@ -659,8 +714,7 @@ def test_fixed_step_tracker_overflow_is_a_numerical_failure(fem_setup):
 def test_tracker_arithmetic_error_names_step_and_time(error):
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
-    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx3"), spectral_operator(grid, 1.0), cubic_term(beta))
     mass = mass_functional()
 
     def evaluate(s):
@@ -695,8 +749,7 @@ def _fail_once(monkeypatch, error):
 def test_relaxation_arithmetic_error_is_a_conservation_rejection(monkeypatch, error):
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
-    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx3"), spectral_operator(grid, 1.0), cubic_term(beta))
     _fail_once(monkeypatch, error)
     _, record = integrate_imex(s0, stepper, 0.05, 0.2, [mass_functional()], relax=1)
     assert record.conservation_rejections == 1
@@ -710,8 +763,7 @@ def test_zero_length_run_returns_the_start_state(controlled):
     # step and returns s0 unchanged
     grid = make_grid(-35, 35, 128)
     s0, beta = soliton_initial(1, grid)
-    parts = spectral_parts(spectral_operator(grid, 1.0), beta)
-    stepper = make_imex_stepper(tableau("ImEx3"), *parts)
+    stepper = make_imex_stepper(tableau("ImEx3"), spectral_operator(grid, 1.0), cubic_term(beta))
     invariants = [mass_functional()]
     if controlled:
         state, record = adaptive_integrate(
@@ -726,8 +778,7 @@ def test_zero_length_run_returns_the_start_state(controlled):
 def test_relaxation_configuration_error_propagates(monkeypatch):
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(1, grid)
-    stiff, nonstiff = spectral_parts(spectral_operator(grid, 1.0), beta)
-    stepper = make_imex_stepper(tableau("ImEx3"), stiff, nonstiff)
+    stepper = make_imex_stepper(tableau("ImEx3"), spectral_operator(grid, 1.0), cubic_term(beta))
     _fail_once(monkeypatch, ConfigurationError("bad"))
     with pytest.raises(ConfigurationError, match="bad"):
         integrate_imex(s0, stepper, 0.05, 0.2, [mass_functional()], relax=1)

@@ -16,9 +16,9 @@ from nlslab.spectral import (
     FLOW_MEMO_SIZE,
     TINY_PHASE,
     SpectralOperator,
+    cubic_term,
     nonlinear_flow,
     spectral_operator,
-    spectral_parts,
     wavenumbers,
 )
 from nlslab.splitting import scheme
@@ -129,15 +129,10 @@ def test_solve_and_apply_consistent():
 
 
 def test_nonlinear_term_values():
-    op = spectral_operator(make_grid(0, 1, 4), 1.0)
-
-    def cubic(u, b):
-        return spectral_parts(op, b)[1](u)
-
-    out = cubic(np.ones(4, dtype=complex), 2.0)
+    out = cubic_term(2.0)(np.ones(4, dtype=complex))
     assert np.allclose(out, 2j, atol=1e-15)
-    assert np.all(cubic(np.zeros(4, dtype=complex), 3.0) == 0)
-    out = cubic(np.full(4, 1 + 1j), 1.0)
+    assert np.all(cubic_term(3.0)(np.zeros(4, dtype=complex)) == 0)
+    out = cubic_term(1.0)(np.full(4, 1 + 1j))
     assert np.allclose(out, -2 + 2j, atol=1e-14)
 
 
