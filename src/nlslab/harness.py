@@ -54,7 +54,7 @@ from .relaxation import (
     landing_tolerance,
     make_imex_stepper,
 )
-from .spectral import cubic_term, fem_operator, spectral_operator
+from .spectral import cubic_term, fem_operator, spectral_operator, spectral_tail
 
 
 _NAN = float("nan")
@@ -345,41 +345,71 @@ def _soliton_error(cfg: ExperimentConfig, state: GridState) -> float:
     return float(np.max(np.abs(state.u - exact)))
 
 
+# A default reference mesh is halved while a state it reaches carries more
+# than this share of its largest DFT coefficient in the top quarter of |k|.
+# The shipped eps=0.2 config reads 3e-11 at dx/2, where dx/2 and dx/8 agree
+# to 1e-11; eps=0.05 at dx=1/32 reads 3e-6 at dx/2 and 3e-11 at dx/4.
+REFERENCE_TAIL_MAX = 3e-10
+# Finest default reference mesh, in nodes: past it a still under-resolved
+# state fails the scored run instead of doubling the memory again.
+REFERENCE_MAX_M = 2**17
+
+
 class SemiclassicalReference:
     """Fine-mesh AK4 splitting reference, advanced on demand to each run's
     recorded time.
 
-    The mesh defaults to ``dx/8`` and ``dt/20`` of the run's own grid and
-    step (whether ``m`` or ``dx`` sets the grid); ``dx_ref`` must divide the
-    domain, and each run grid must subsample the fine one exactly.  Starts from the runs' own
-    initial data (same ``phase``) sampled on the fine grid and integrates
-    incrementally, caching states so ascending query times reuse work.
+    The step defaults to ``dt/20`` of the run's step and the mesh to
+    ``dx/2`` of the run's grid (whether ``m`` or ``dx`` sets it).  A default
+    mesh checks each state it integrates to with
+    :func:`nlslab.spectral.spectral_tail`: above ``REFERENCE_TAIL_MAX`` it
+    halves ``dx_ref``, drops its cached states and integrates again from
+    t=0, so small ``eps`` gets the mesh it needs.  An explicit ``dx_ref`` is
+    used as given.  ``dx_ref`` must divide the domain, and each run grid must
+    subsample the fine one exactly.  Starts from the runs' own initial data
+    (same ``phase``) sampled on the fine grid and integrates incrementally,
+    caching states so ascending query times reuse work.
     """
 
     def __init__(self, cfg: ExperimentConfig, problem: Problem):
-        dx = _grid_for(cfg, problem).dx
-        self.dx_ref = cfg.dx_ref if cfg.dx_ref is not None else dx / 8.0
         dt = cfg.dt if cfg.dt is not None else 1.0 / 100
         self.dt_ref = cfg.dt_ref if cfg.dt_ref is not None else dt / 20.0
         self.problem = problem
-        base = _initial_state(cfg, _grid_for(replace(cfg, m=None, dx=self.dx_ref), problem))
+        self._cfg = cfg
+        self._refines = cfg.dx_ref is None
+        self._start(cfg.dx_ref if cfg.dx_ref is not None else _grid_for(cfg, problem).dx / 2.0)
+
+    def _start(self, dx_ref: float) -> None:
+        """Build the mesh of spacing ``dx_ref``, holding only the initial state."""
+        self.dx_ref = dx_ref
+        grid = _grid_for(replace(self._cfg, m=None, dx=dx_ref), self.problem)
+        base = _initial_state(self._cfg, grid)
         self._states: dict[float, GridState] = {base.t: base}
-        self._op = spectral_operator(base.grid, problem.a)
+        self._op = spectral_operator(base.grid, self.problem.a)
 
     def state_at(self, t: float) -> GridState:
         # A cached state within the step loop's landing tolerance of t is
         # where integrating to t would stop.
         tiny = landing_tolerance(t)
-        best_t = max((s for s in self._states if s <= t + tiny), default=None)
-        if best_t is None:
-            raise ConfigurationError(f"reference cannot rewind to t={t}")
-        state = self._states[best_t]
-        if t > state.t + tiny:
+        while True:
+            best_t = max((s for s in self._states if s <= t + tiny), default=None)
+            if best_t is None:
+                raise ConfigurationError(f"reference cannot rewind to t={t}")
+            state = self._states[best_t]
+            if t <= state.t + tiny:
+                return state
             state, _ = splitting.integrate_splitting(
                 state, splitting.scheme("AK4"), self._op, self.problem.b, self.dt_ref, t
             )
-            self._states[state.t] = state
-        return state
+            if not self._refines or spectral_tail(state.u) <= REFERENCE_TAIL_MAX:
+                self._states[state.t] = state
+                return state
+            if 2 * state.grid.m > REFERENCE_MAX_M:
+                raise ConfigurationError(
+                    f"reference mesh dx_ref={self.dx_ref:.6g} is under-resolved at t={t:.6g} "
+                    f"and cannot be refined past m={REFERENCE_MAX_M}; set dx_ref"
+                )
+            self._start(self.dx_ref / 2.0)
 
     def error(self, state: GridState) -> float:
         ref = oracles.subsample(self.state_at(state.t), state.grid)

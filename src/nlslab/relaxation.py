@@ -33,6 +33,7 @@ vector, evaluating only the invariants it does not relax.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -137,17 +138,16 @@ def _smallest_magnitude_root(a: float, b: float, c: float) -> float | None:
         if b == 0.0:
             return 0.0 if c == 0.0 else None
         return -c / b
+    if b == 0.0:
+        # Symmetric pair +-sqrt(-c/a), taken directly: b*b - 4ac can underflow
+        # to 0 while -c/a does not.  The tie goes to the positive root.
+        ratio = -c / a
+        return None if ratio < 0.0 else abs(math.sqrt(ratio))
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return None
-    sq = np.sqrt(disc)
-    q = -(b + np.copysign(sq, b)) / 2.0
-    roots = []
-    roots.append(q / a)
-    if q != 0.0:
-        roots.append(c / q)
-    elif b == 0.0:  # symmetric pair +-sqrt(-c/a)
-        roots = [sq / (2 * a), -sq / (2 * a)]
+    q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
+    roots = (q / a, c / q) if q != 0.0 else (q / a,)
     return min(roots, key=lambda r: (abs(r), -np.sign(r)))
 
 

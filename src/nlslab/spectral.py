@@ -46,6 +46,14 @@ def wavenumbers(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.dx)
 
 
+def spectral_tail(u: np.ndarray) -> float:
+    """How far a grid vector is from resolved: its largest DFT coefficient
+    in the top quarter of |k|, over its largest coefficient overall."""
+    mag = np.abs(dft_forward(u))
+    m = mag.shape[0]
+    return float(mag[-(-3 * m // 8) : 5 * m // 8 + 1].max() / mag.max())
+
+
 # Phase factors kept per operator.  AK4's fractions are palindromic (a4 = a0,
 # a3 = a1), so a fused AK4 run (see splitting) of step h uses a0*h, a1*h and
 # a2*h, and a4*h + a0*h = 2*a0*h on every step after the first; a landing

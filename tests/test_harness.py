@@ -348,7 +348,7 @@ def test_semiclassical_reference_starts_from_the_runs_phase(tmp_path):
 
 
 def test_semiclassical_reference_follows_the_run_grid(tmp_path):
-    # the reference defaults to dx/8 of the run grid, however it is given
+    # the reference defaults to dx/2 of the run grid, however it is given
     base = "scenario=semiclassical, method=SP-AK4, eps=0.2, dt=1/50, t_out=0.04, dt_ref=1/400"
     by_m = run_scenario(parse_config(f"{base}, m=1024, out={tmp_path}/m.csv")).rows
     by_dx = run_scenario(parse_config(f"{base}, dx=1/64, out={tmp_path}/dx.csv")).rows

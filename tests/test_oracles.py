@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlslab import splitting
+from nlslab import harness, splitting
 from nlslab.core import ConfigurationError, GridState, discrete_mass, make_grid
-from nlslab.harness import ExperimentConfig, SemiclassicalReference
+from nlslab.harness import REFERENCE_TAIL_MAX, ExperimentConfig, SemiclassicalReference
 from helpers import pde_residual
 
 from nlslab.oracles import (
@@ -16,6 +16,7 @@ from nlslab.oracles import (
     soliton_initial,
     subsample,
 )
+from nlslab.spectral import spectral_tail
 
 
 def test_one_soliton_at_origin():
@@ -156,8 +157,24 @@ def test_subsample_nested_grids():
 
 
 def _reference(**keys):
-    cfg = ExperimentConfig("semiclassical", eps=0.2, **keys)
+    cfg = ExperimentConfig("semiclassical", **{"eps": 0.2, **keys})
     return SemiclassicalReference(cfg, semiclassical_problem(cfg.eps))
+
+
+def _count_integrations(monkeypatch) -> list:
+    """Patch splitting.integrate_splitting to record each call's end time."""
+    original, runs = splitting.integrate_splitting, []
+
+    def integrate(*args, **kwargs):
+        runs.append(args[-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "integrate_splitting", integrate)
+    return runs
+
+
+def _largest_difference(state, finer) -> float:
+    return float(np.max(np.abs(state.u - subsample(finer, state.grid).u)))
 
 
 def test_semiclassical_reference_self_consistency():
@@ -172,17 +189,53 @@ def test_semiclassical_reference_reuses_a_state_within_the_landing_tolerance(mon
     # so the state cached for 0.8 answers every query that close to 0.8.
     reference = _reference(dx_ref=1 / 64, dt_ref=1 / 2000)
     cached = reference.state_at(0.8)
-    original, runs = splitting.integrate_splitting, []
-
-    def integrate(*args, **kwargs):
-        runs.append(args[-1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(splitting, "integrate_splitting", integrate)
+    runs = _count_integrations(monkeypatch)
     for t in (0.8 - 5e-13, 0.8, 0.8 + 5e-13):
         assert reference.state_at(t) is cached
     assert runs == []
     assert reference.state_at(0.8 + 1e-6).t > cached.t and len(runs) == 1
+
+
+def test_shipped_semiclassical_reference_keeps_its_default_mesh(monkeypatch):
+    # configs/semiclassical_eps02.cfg: the dx/2 mesh (m=1024) resolves both
+    # output times (tails 3e-11 and 5e-13) and agrees with a dx/8 one to 1e-11.
+    runs = _count_integrations(monkeypatch)
+    reference = _reference(dx=1 / 32, dt=1 / 100)
+    finer = _reference(dx=1 / 32, dt=1 / 100, dx_ref=1 / 256)
+    for t in (0.8, 1.2):
+        state = reference.state_at(t)
+        assert state.grid.m == 1024
+        assert _largest_difference(state, finer.state_at(t)) <= 1e-10
+    assert reference.dx_ref == 1 / 64 and len(runs) == 4
+
+
+def test_an_under_resolved_default_reference_refines_once(monkeypatch):
+    # eps=0.05 on dx=1/32 at t=0.4, past its caustic: the dx/2 state's tail
+    # reads 3e-6, the dx/4 one's 2e-11.
+    runs = _count_integrations(monkeypatch)
+    reference = _reference(eps=0.05, dx=1 / 32, dt_ref=1 / 500)
+    state = reference.state_at(0.4)
+    assert reference.dx_ref == 1 / 128 and state.grid.m == 2048
+    assert runs == [0.4, 0.4]
+    assert spectral_tail(state.u) <= REFERENCE_TAIL_MAX
+    assert reference.state_at(0.4) is state and len(runs) == 2
+    finer = _reference(eps=0.05, dx=1 / 32, dx_ref=1 / 256, dt_ref=1 / 500).state_at(0.4)
+    assert _largest_difference(state, finer) <= 1e-10
+
+
+def test_an_explicit_reference_mesh_is_never_refined(monkeypatch):
+    runs = _count_integrations(monkeypatch)
+    reference = _reference(eps=0.05, dx=1 / 32, dx_ref=1 / 64, dt_ref=1 / 500)
+    state = reference.state_at(0.4)
+    assert spectral_tail(state.u) > REFERENCE_TAIL_MAX
+    assert reference.dx_ref == 1 / 64 and state.grid.m == 1024 and len(runs) == 1
+
+
+def test_a_default_reference_stops_refining_at_its_largest_mesh(monkeypatch):
+    monkeypatch.setattr(harness, "REFERENCE_MAX_M", 1024)
+    reference = _reference(eps=0.05, dx=1 / 32, dt_ref=1 / 500)
+    with pytest.raises(ConfigurationError, match="under-resolved"):
+        reference.state_at(0.4)
 
 
 def test_semiclassical_reference_rejects_nonnesting_dx():

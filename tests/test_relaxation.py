@@ -155,8 +155,10 @@ def test_relax_single_without_a_root_measures_gamma_zero(tol, converged):
         ((0.0, 0.0, 1.0), None),  # no root
         ((2.0, 0.0, 0.0), 0.0),  # double root at 0: the symmetric pair branch
         ((1.0, 0.0, -4.0), 2.0),  # +-2 tie: positive
+        ((1.0, 0.0, 1.0), None),  # +-i: no real root
+        ((1e-200, 0.0, -1e-200), 1.0),  # +-1, though b*b - 4ac underflows to 0
     ],
-    ids=["linear", "zero", "constant", "double-zero", "tie"],
+    ids=["linear", "zero", "constant", "double-zero", "tie", "imaginary-pair", "underflow-pair"],
 )
 def test_smallest_magnitude_root_branches(coeffs, root):
     found = _smallest_magnitude_root(*coeffs)

@@ -19,6 +19,7 @@ from nlslab.spectral import (
     cubic_term,
     nonlinear_flow,
     spectral_operator,
+    spectral_tail,
     wavenumbers,
 )
 from nlslab.splitting import scheme
@@ -35,6 +36,15 @@ def test_wavenumbers_dft_order_integers():
     grid = make_grid(0, 2 * np.pi, 8)
     xi = wavenumbers(grid)
     assert np.allclose(xi, [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "k, tail", [(23, 0.0), (24, 1e-3), (31, 1e-3), (-32, 1e-3), (-24, 1e-3), (-23, 0.0)]
+)
+def test_spectral_tail_reads_the_top_quarter_of_the_wavenumbers(k, tail):
+    # m = 64 on a 2*pi period: integer wavenumbers, top quarter |k| >= 24
+    x = make_grid(-np.pi, np.pi, 64).nodes
+    assert spectral_tail(1.0 + 1e-3 * np.exp(1j * k * x)) == pytest.approx(tail, abs=1e-15)
 
 
 def test_wavenumbers_reject_natural_grid():
