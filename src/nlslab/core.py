@@ -14,10 +14,12 @@ its remainder, settles almost every sum; more rounds run only near a
 rounding tie, under heavy cancellation, or at magnitudes near underflow.
 
 Every transform goes through :func:`dft_forward` and :func:`dft_inverse`.
-They call ``scipy.fft``, imported on the first transform so that importing
-nlslab loads no scipy, on the complex128 cast of their input.  The result is
-bitwise ``numpy.fft``'s (numpy >= 2.0 and scipy share the C++ pocketfft),
-in less time; a test pins the equality.
+They call ``scipy.fftpack``'s ``fft``/``ifft``, imported on the first
+transform so that importing nlslab loads no scipy, on the complex128 cast of
+their input.  That is the pocketfft complex transform of ``scipy.fft``
+without its backend dispatch, which costs about 1.3 us a call at small m.
+The result is bitwise ``numpy.fft``'s (numpy >= 2.0 and scipy share the C++
+pocketfft), in less time; a test pins the equality.
 """
 
 from __future__ import annotations
@@ -218,14 +220,14 @@ def from_real_pairs(z: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _fft_backend():
-    """The ``scipy.fft`` module, imported on the first transform only.
+    """The ``scipy.fftpack`` module, imported on the first transform only.
 
     Importing it when nlslab is imported would load scipy into every CLI
     start-up, including the runs that never transform a vector.
     """
-    import scipy.fft
+    import scipy.fftpack
 
-    return scipy.fft
+    return scipy.fftpack
 
 
 def _dft_operand(u: np.ndarray) -> np.ndarray:
@@ -240,7 +242,8 @@ def _dft_operand(u: np.ndarray) -> np.ndarray:
 def dft_forward(u: np.ndarray) -> np.ndarray:
     """Forward DFT.  Unnormalized; pairs with :func:`dft_inverse`.
 
-    Computed by ``scipy.fft.fft`` on the complex128 cast of ``u``, which is
+    Computed by ``scipy.fftpack.fft`` on the complex128 cast of ``u``: the
+    pocketfft transform of ``scipy.fft.fft`` without its backend dispatch,
     bitwise ``numpy.fft.fft(u)`` (numpy >= 2.0 ships the same pocketfft) and
     faster.
     """

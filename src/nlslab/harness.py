@@ -435,7 +435,11 @@ def _loglog_slope(points) -> float:
 
 
 class ErrorSampler:
-    """Observer collecting (t, error vs oracle) at accepted steps, thinned."""
+    """Observer collecting (t, error vs oracle) at accepted steps, thinned.
+
+    Past ``max_samples`` rows every other row is dropped, counting back from
+    the newest, so the last accepted step is always sampled.
+    """
 
     def __init__(self, error_of, max_samples: int):
         self.error_of = error_of
@@ -445,7 +449,7 @@ class ErrorSampler:
     def __call__(self, state: GridState) -> None:
         self.rows.append((state.t, self.error_of(state)))
         if len(self.rows) > self.max_samples:
-            self.rows = self.rows[::2]  # halve resolution, keep coverage
+            self.rows = self.rows[(len(self.rows) - 1) % 2 :: 2]  # halve, keep the newest
 
 
 # ---------------------------------------------------------------------------

@@ -232,32 +232,43 @@ def imex_step(
     diagonal skip the solve entirely, and a zero-diagonal first stage
     evaluates ``fex`` at ``u`` itself.
 
-    The 2s stage derivatives fill one complex (2s, m) scratch array K
-    (``_stages`` if given): on its float64 view stage i's right-hand side is
-    ``û + (dt*t.stage_rows[i, :2i]) @ K[:2i]``, with û the DFT of the state;
-    d1, d2 are ``t.increment_rows @ K`` transformed back.
+    The 2s stage derivatives fill one complex (2s, m) array K (``_stages``
+    if given, which a stepper reuses from step to step): on its float64 view
+    stage i's right-hand side is ``û + (dt*t.stage_rows[i, :2i]) @ K[:2i]``,
+    with û the DFT of the state; d1, d2 are ``t.increment_rows @ K``
+    transformed back.  Stage i's slot K[2i] is its scratch: its right-hand
+    side is written there, and ``symbol * ĝ`` overwrites it once the shifted
+    solve ĝ is taken; u_next is ``dt*d1`` with u added in place.  Each
+    product, sum and quotient keeps its operands and their order, so the
+    in-place forms round as the plain expressions do.  u_next, d1 and d2 are
+    fresh arrays.
     """
     if not isinstance(fim, SpectralOperator):
         raise ConfigurationError(
             f"stiff part must be a SpectralOperator, got {type(fim).__name__}"
         )
     u = np.ascontiguousarray(u)
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     fim._check(u)
     # Looked up per call, so a tracer that wraps them counts every DFT.
     forward, inverse = spectral.dft_forward, spectral.dft_inverse
-    uhat = forward(u)
+    uhat = forward(u).view(np.float64)
     stages = np.empty((2 * t.s, *u.shape), np.complex128) if _stages is None else _stages
     flat = stages.view(np.float64)
     for i in range(t.s):
-        rhs = uhat.view(np.float64) + (dt * t.stage_rows[i, : 2 * i]) @ flat[: 2 * i]
-        rhs = rhs.view(np.complex128)
+        rhs = flat[2 * i]
+        np.matmul(dt * t.stage_rows[i, : 2 * i], flat[: 2 * i], out=rhs)
+        np.add(uhat, rhs, out=rhs)
         mu = dt * t.a_im[i, i]
-        ghat = rhs if mu == 0.0 else rhs / fim.shifted(mu)
-        stages[2 * i] = fim.symbol * ghat
+        # The solve gets a fresh array: written into the slot too, it let
+        # glibc trim and refault the heap top on every stage at m=4480 under
+        # a fixed mmap threshold (fem-growth: 91k minor faults a call, not 51k).
+        ghat = stages[2 * i] if mu == 0.0 else stages[2 * i] / fim.shifted(mu)
         g = u if i == 0 and mu == 0.0 else inverse(ghat)
+        np.multiply(fim.symbol, ghat, out=stages[2 * i])
         stages[2 * i + 1] = forward(fex(g))
     # Two products: one (2, 2m) result exceeds a 128 KiB mmap threshold at m=4480.
     d1, d2 = (inverse((w @ flat).view(np.complex128)) for w in t.increment_rows)
-    return StepIncrements(u_next=u + dt * d1, d1=d1, d2=d2)
+    u_next = np.multiply(dt, d1)
+    return StepIncrements(u_next=np.add(u, u_next, out=u_next), d1=d1, d2=d2)

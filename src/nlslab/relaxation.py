@@ -109,12 +109,22 @@ def error_estimate(u_next, u_hat, cfg: ControllerConfig) -> float:
     Complex entries contribute their modulus; the weight for entry i is
     tol + tol * max(|u_i|, |u_hat_i|), one tolerance both absolute and
     relative.
+
+    The moduli, the scale and the squared ratio are formed in two reused
+    real rows, and the mean is the sum over n, which is how ``np.mean``
+    forms it; each operation keeps its operands, so the estimate is bitwise
+    that of ``sqrt(mean((|u_next - u_hat| / scale)**2))``.
     """
     if u_next.shape != u_hat.shape:
         raise ConfigurationError("states being compared have different lengths")
-    diff = np.abs(u_next - u_hat)
-    scale = cfg.tol + cfg.tol * np.maximum(np.abs(u_next), np.abs(u_hat))
-    return float(np.sqrt(np.mean((diff / scale) ** 2)))
+    ratio, scale = np.empty((2, *u_next.shape))
+    np.maximum(np.abs(u_next, out=scale), np.abs(u_hat, out=ratio), out=scale)
+    np.multiply(cfg.tol, scale, out=scale)
+    np.add(cfg.tol, scale, out=scale)
+    np.abs(np.subtract(u_next, u_hat), out=ratio)
+    np.divide(ratio, scale, out=ratio)
+    np.square(ratio, out=ratio)
+    return math.sqrt(np.add.reduce(ratio, axis=None) / ratio.size)
 
 
 def propose_step(eps: float, dt: float, cfg: ControllerConfig) -> float:
@@ -406,13 +416,19 @@ def _integrate(
             )
         h = min(h_next, T - state.t)
         inc = step(state.u, h)
+        # The unrelaxed state, built once: its check is the one finiteness
+        # scan of u_next.
+        try:
+            trial = state.with_u(inc.u_next, t=state.t + h)
+        except NumericalFailureError:
+            trial = None
         eps = None
         if controller is None:
-            if not _finite(inc.u_next):
+            if trial is None:
                 raise NumericalFailureError(f"non-finite state after step {len(record.steps) + 1}")
         else:
             eps = np.inf
-            if _finite(inc.u_next) and _finite(inc.d2):
+            if trial is not None and _finite(inc.d2):
                 eps = error_estimate(inc.u_next, state.u + h * inc.d2, controller)
             if not eps < 1.0:
                 # Non-finite trial values, or an estimate that overflowed to
@@ -423,7 +439,7 @@ def _integrate(
                 continue
         gamma_total, residual, measured = 0.0, None, ()
         if not relax:
-            state = state.with_u(inc.u_next, t=state.t + h)
+            state = trial
         else:
             out = _relax(relaxed, targets, state, inc, h, conservation_tol)
             if not out.converged:

@@ -231,8 +231,9 @@ def test_dft_rejects_empty_and_multidimensional_input():
 @pytest.mark.parametrize("m", [1, 2, 7, 97, 512, 1000, 1120, 2048, 4096, 4097, 4480, 8192])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_dft_is_bitwise_numpy_fft(m, kind):
-    # scipy.fft behind the helpers must round exactly like numpy.fft, so that
-    # a library update that diverges fails here instead of moving outputs.
+    # scipy.fftpack's fft/ifft behind the helpers (the pocketfft transform of
+    # scipy.fft without its dispatch) must round exactly like numpy.fft, so
+    # that a library update that diverges fails here instead of moving outputs.
     rng = np.random.default_rng(m)
     u = rng.standard_normal(m)
     if kind == "complex":

@@ -296,6 +296,41 @@ def test_error_growth_refuses_semiclassical_configs(tmp_path):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize(
+    "samples,kept",
+    [(5, [0.02, 0.04, 0.06]), (4, [0.01, 0.03, 0.05, 0.06]), (6, [0.01 * k for k in range(1, 7)])],
+)
+def test_error_growth_samples_the_last_accepted_step(tmp_path, samples, kept):
+    # Six accepted steps.  Past an odd limit the thinning keeps every other
+    # row counting back from the newest; past an even limit it keeps the
+    # rows that rows[::2] keeps, the newest among them.
+    cfg = parse_config(
+        f"scenario=error_growth, nsolitons=2, m=1120, T=0.06, dt=0.01, samples={samples}, "
+        f"methods=SP-ImEx4, out={tmp_path}/g.csv"
+    )
+    result = run_scenario(cfg)
+    record = result.records["SP-ImEx4"]
+    assert [row[1] for row in result.rows] == pytest.approx(kept, abs=1e-12)
+    assert result.rows[-1][1] == record.final_t
+    assert result.rows[-1][2] == record.final_error
+
+
+def test_error_sampler_keeps_the_newest_row_at_every_thinning():
+    for limit in range(1, 12):
+        sampler = harness.ErrorSampler(lambda s: s.t, limit)
+        for k in range(1, 200):
+            sampler(GridState(make_grid(0, 1, 4), np.zeros(4), t=float(k)))
+            assert sampler.rows[-1] == (k, k) and len(sampler.rows) <= limit
+        if limit % 2 == 0:
+            # An even limit keeps the rows that plain rows[::2] kept.
+            rows = []
+            for k in range(1, 200):
+                rows.append((float(k), float(k)))
+                if len(rows) > limit:
+                    rows = rows[::2]
+            assert sampler.rows == rows
+
+
 def test_runtime_scales_with_step_count():
     # timing sanity: twice the steps costs about twice the time
     grid = make_grid(-8, 8, 512)

@@ -114,6 +114,13 @@ def test_imex_step_refuses_a_vector_off_the_operator_grid(monkeypatch):
         imex_step(np.ones(6, complex), tableau("ImEx3"), 0.1, op, lambda g: 0 * g)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+def test_imex_step_refuses_a_step_that_is_not_positive(dt):
+    op = spectral_operator(make_grid(0, 1, 8), 1.0)
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        imex_step(np.ones(8, complex), tableau("ImEx3"), dt, op, lambda g: 0 * g)
+
+
 def _dirk_reference(matrix, u0, dt, steps, a_im, b):
     """Standalone DIRK applied to u' = A u; written independently of imex_step."""
     n = len(b)
@@ -261,3 +268,37 @@ def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, m
     real = s0.u.real.copy()
     expected = imex_step(real, t, 0.01, stiff, nonstiff).u_next
     assert np.array_equal(make_imex_stepper(t, stiff, nonstiff)(real, 0.01).u_next, expected)
+
+
+def _bits(inc):
+    return [a.view(np.float64).tobytes() for a in (inc.u_next, inc.d1, inc.d2)]
+
+
+@pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
+@pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
+def test_reused_stage_scratch_carries_nothing_between_steps(name, make_operator):
+    # The stage slots double as each stage's scratch.  A stepper that
+    # alternates step sizes, and then vector lengths (a refused length makes
+    # it reallocate), returns what fresh imex_step calls return, bit for bit.
+    grid = make_grid(-35, 35, 448)
+    s0, beta = soliton_initial(2, grid)
+    stiff, nonstiff = make_operator(grid, 1.0), cubic_term(beta)
+    t = tableau(name)
+    stepper = make_imex_stepper(t, stiff, nonstiff)
+    u = s0.u
+    for dt in (0.01, 0.03, 0.002, 0.03, 0.01):
+        inc = stepper(u, dt)
+        assert _bits(inc) == _bits(imex_step(u, t, dt, stiff, nonstiff))
+        u = inc.u_next
+    for length in (224, 448, 896, 448):
+        v = np.resize(u, length)
+        if length != grid.m:
+            with pytest.raises(DimensionMismatchError):
+                stepper(v, 0.01)
+            continue
+        assert _bits(stepper(v, 0.02)) == _bits(imex_step(v, t, 0.02, stiff, nonstiff))
+    # A supplied stage array full of NaN is overwritten before it is read.
+    garbage = np.full((2 * t.s, grid.m), np.nan + 1j * np.nan)
+    assert _bits(imex_step(u, t, 0.01, stiff, nonstiff, _stages=garbage)) == _bits(
+        imex_step(u, t, 0.01, stiff, nonstiff)
+    )

@@ -71,6 +71,58 @@ def test_error_estimate_relative_homogeneity():
     )
 
 
+def _plain_error_estimate(u_next, u_hat, cfg):
+    diff = np.abs(u_next - u_hat)
+    scale = cfg.tol + cfg.tol * np.maximum(np.abs(u_next), np.abs(u_hat))
+    return float(np.sqrt(np.mean((diff / scale) ** 2)))
+
+
+@pytest.mark.parametrize("kind", ["normal", "zeros", "all_zero", "equal", "tiny", "huge"])
+def test_error_estimate_is_bitwise_the_plain_formula(kind):
+    # The in-place estimate is logged and steers the step size, so it must
+    # round exactly as the temporaries-and-np.mean formula does.
+    rng = np.random.default_rng(len(kind))
+    for m in (1, 7, 448, 2048, 4480):
+        for tol in (1e-10, 1e-4, 0.3):
+            u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            v = u + 10.0 ** rng.uniform(-14, 0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            if kind == "zeros":
+                u[rng.random(m) < 0.3] = 0.0
+                v[rng.random(m) < 0.3] = 0.0
+            elif kind == "all_zero":
+                u, v = np.zeros(m, complex), np.zeros(m, complex)
+            elif kind == "equal":
+                v = u.copy()
+            elif kind == "tiny":
+                u, v = 1e-310 * u, 1e-312 * v
+            elif kind == "huge":
+                u, v = 1e307 * u, 3e307 * v  # finite; their differences may overflow
+            cfg = ControllerConfig(tol=tol)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ours, plain = error_estimate(u, v, cfg), _plain_error_estimate(u, v, cfg)
+            assert ours.hex() == plain.hex() or (np.isnan(ours) and np.isnan(plain))
+
+
+def test_fixed_step_non_finite_state_names_its_step():
+    # The unrelaxed state's own check is the one finiteness scan of u_next;
+    # the fixed-step loop still reports the step, and an adaptive one
+    # rejects the attempt and halves it.
+    s0 = _toy_state(np.ones(4))
+    calls = []
+
+    def stepper(u, h):
+        calls.append(h)
+        bad = np.full(4, np.nan) if len(calls) == 2 else u
+        return _increments(bad, np.zeros(4))
+
+    with pytest.raises(NumericalFailureError, match=r"^non-finite state after step 2$"):
+        integrate_imex(s0, stepper, 0.25, 1.0)
+    calls.clear()
+    out, record = adaptive_integrate(s0, stepper, ControllerConfig(), 1.0, dt_initial=0.5)
+    assert calls[:3] == [0.5, 0.5, 0.25] and out.t == 1.0
+    assert [row.disposition for row in record.steps[:2]] == [ACCEPTED, EPS_REJECTED]
+
+
 def test_propose_step_rules():
     cfg = ControllerConfig(embedded_order=3)
     assert propose_step(1.0, 0.2, cfg) == pytest.approx(0.9 * 0.2, rel=1e-15)

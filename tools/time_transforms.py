@@ -1,4 +1,5 @@
-"""Per-call time of nlslab's exact sub-flows and DFT pair, in microseconds.
+"""Per-call time of nlslab's exact sub-flows, DFT pair and step path, in
+microseconds.
 
 Times the nlslab that ``import nlslab`` finds, so any checkout can be measured
 through ``PYTHONPATH``:
@@ -20,11 +21,31 @@ last about 0.05 s.  Per grid size m = 512, 1120, 4096, 4480 on [-8, 8]:
   where most phases are tiny (``tiny`` gives their share);
 * ``nl_normal``: ``nonlinear_flow`` of the standard normal vector at the
   same b and dt, where no phase is tiny.
+
+A second table times the step path, one row per call:
+
+* ``dft_forward m=16``: the transform entry on a vector so short that the
+  figure is its call overhead;
+* ``ImEx4 <symbol> m=<m>``: one ImEx4 step of the two-soliton state on
+  [-35, 35] at dt = 0.01 by a ``make_imex_stepper`` stepper, as runs take
+  it, with the pseudospectral or the finite-element symbol, at m = 1120
+  (the invariant table) and m = 4480 (the error-growth runs);
+* ``error_estimate m=2048``: the adaptive controller's estimate of the main
+  against the embedded solution of such a step;
+* ``loop step m=1120``: the fixed-step loop's own cost per step
+  (``integrate_imex``, unrelaxed, no invariants, 100 steps per call) around
+  a stepper that returns one precomputed ImEx4 step.
+
+Beside each row's time stands its minor page faults per call, counted over
+FAULT_CALLS further calls: where glibc hands a freed block back to the
+system, the next allocation of that size faults its pages in again, which
+at m=4480 can cost as much as a quarter of a step.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -32,6 +53,7 @@ from time_exact_sum import REPEATS, _bench_settings, per_call_us
 
 SIZES = (512, 1120, 4096, 4480)
 A, B, DT = 0.1, 5.0, 0.86 / 2000
+FAULT_CALLS = 20
 
 
 def main() -> int:
@@ -43,7 +65,15 @@ def main() -> int:
     import numpy as np  # after the thread variables
 
     import nlslab.core as core
-    from nlslab.spectral import nonlinear_flow, spectral_operator
+    from nlslab.imexrk import tableau
+    from nlslab.oracles import soliton_initial
+    from nlslab.relaxation import (
+        ControllerConfig,
+        error_estimate,
+        integrate_imex,
+        make_imex_stepper,
+    )
+    from nlslab.spectral import cubic_term, fem_operator, nonlinear_flow, spectral_operator
 
     print(f"nlslab from {Path(core.__file__).resolve().parent}; "
           f"mmap threshold {threshold}; best of {REPEATS}")
@@ -65,6 +95,36 @@ def main() -> int:
         # spectral.TINY_PHASE, written out so that checkouts without it can be timed.
         tiny = float(np.mean(np.abs(phase) < 2.0**-27))
         print(f"{m:>6} " + " ".join(f"{us:9.1f}" for us in cells) + f" {tiny:9.3f}")
+
+    def two_soliton_step(make_operator, m):
+        grid = core.make_grid(-35.0, 35.0, m)
+        s0, beta = soliton_initial(2, grid)
+        stepper = make_imex_stepper(tableau("ImEx4"), make_operator(grid, 1.0), cubic_term(beta))
+        return s0, stepper
+
+    # (label, fn, argument, steps per call)
+    rows = [("dft_forward m=16", core.dft_forward, np.ones(16, complex), 1)]
+    for m in (1120, 4480):
+        for symbol, make_operator in (("spectral", spectral_operator), ("fem", fem_operator)):
+            s0, stepper = two_soliton_step(make_operator, m)
+            rows.append((f"ImEx4 {symbol} m={m}", lambda u, f=stepper: f(u, 0.01), s0.u, 1))
+    s0, stepper = two_soliton_step(spectral_operator, 2048)
+    inc = stepper(s0.u, 0.01)
+    cfg = ControllerConfig(tol=1e-6)
+    rows.append(("error_estimate m=2048",
+                 lambda u, main=inc.u_next: error_estimate(main, u, cfg), s0.u + 0.01 * inc.d2, 1))
+    s0, stepper = two_soliton_step(spectral_operator, 1120)
+    step = stepper(s0.u, 0.01)
+    rows.append(("loop step m=1120",
+                 lambda s: integrate_imex(s, lambda u, h: step, 0.01, 1.0), s0, 100))
+    print(f"\n{'call':>22} {'us':>9} {'faults':>7}")
+    for label, fn, arg, steps in rows:
+        us = per_call_us(fn, arg) / steps
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(FAULT_CALLS):
+            fn(arg)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / FAULT_CALLS / steps
+        print(f"{label:>22} {us:9.1f} {faults:7.1f}")
     return 0
 
 
