@@ -9,8 +9,8 @@ energy, finite elements only), and ``(EC)`` (hybrid adaptive step control).
 
 Each scenario writes an aggregate table to the requested output path and a
 per-run JSON record (step log plus summary) per method into a sibling
-``<stem>_runs`` directory.  Output is deterministic for a fixed config and
-seed, excluding the runtime columns.
+``<stem>_runs`` directory.  Output is deterministic for a fixed config,
+excluding the runtime columns.
 
 The five scenario runners share one setup (:func:`_setup`, whose helpers
 also build the semiclassical fine-mesh reference) and one failure path
@@ -47,7 +47,6 @@ from .core import (
 )
 from .imexrk import tableau
 from .relaxation import (
-    CONSERVATION_TOL,
     ControllerConfig,
     adaptive_integrate,
     integrate_imex,
@@ -59,6 +58,8 @@ from .spectral import cubic_term, fem_operator, spectral_operator, spectral_tail
 
 _NAN = float("nan")
 _DEFAULT_DTS = (1 / 25, 1 / 50, 1 / 100, 1 / 200, 1 / 400)
+# Step of a semiclassical run, and base of its reference's step, without 'dt'.
+_SEMICLASSICAL_DT = 1 / 100
 
 
 class FitError(ValueError):
@@ -146,16 +147,16 @@ class ExperimentConfig:
     t_out: tuple[float, ...] = ()
     out: str = "results.csv"
     fmt: str = "csv"
-    seed: int = 0
     fit_t_min: float = 2.0
     fit_t_max: float = 15.0
     samples: int = 400
-    conservation_tol: float = CONSERVATION_TOL
-    max_growth: float = 5.0
     dt_min: float | None = None
     dx_ref: float | None = None
     dt_ref: float | None = None
-    full_scale: bool = False
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigurationError(f"samples must be at least 1, got {self.samples}")
 
     @property
     def is_semiclassical(self) -> bool:
@@ -167,15 +168,6 @@ _LIST_SPLIT = re.compile(r"[;\s]+")
 
 def _list_of(parse):
     return lambda v: tuple(parse(p) for p in _LIST_SPLIT.split(v.strip()) if p)
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
 def _parse_scenario(text: str) -> str:
@@ -200,7 +192,6 @@ _KEY_PARSERS = {
     "method": ("methods", lambda v: (parse_method(v),)),
     "methods": ("methods", _list_of(parse_method)),
     "nsolitons": ("n_solitons", lambda v: int(v)),
-    "n": ("n_solitons", lambda v: int(v)),
     "eps": ("eps", _parse_number),
     "phase": ("phase", _one_of("phase kind", ("constant_phase", "varying_phase"))),
     "m": ("m", lambda v: int(v)),
@@ -212,16 +203,12 @@ _KEY_PARSERS = {
     "t_out": ("t_out", _list_of(_parse_number)),
     "out": ("out", str.strip),
     "format": ("fmt", _one_of("format", ("csv", "json"))),
-    "seed": ("seed", lambda v: int(v)),
     "fit_t_min": ("fit_t_min", _parse_number),
     "fit_t_max": ("fit_t_max", _parse_number),
     "samples": ("samples", lambda v: int(v)),
-    "conservation_tol": ("conservation_tol", _parse_number),
-    "max_growth": ("max_growth", _parse_number),
     "dt_min": ("dt_min", _parse_number),
     "dx_ref": ("dx_ref", _parse_number),
     "dt_ref": ("dt_ref", _parse_number),
-    "full_scale": ("full_scale", _parse_bool),
 }
 
 
@@ -333,9 +320,9 @@ def run_method(
         )
     tab = tableau(method.family)
     stepper = make_imex_stepper(tab, op, cubic_term(problem.b))
-    tracking = (invariants, method.relax, cfg.conservation_tol, observer)
+    tracking = (invariants, method.relax, observer)
     if method.error_control:
-        controller = ControllerConfig(cfg.tol, tab.embedded_order, cfg.max_growth, cfg.dt_min)
+        controller = ControllerConfig(cfg.tol, tab.embedded_order, dt_min=cfg.dt_min)
         return adaptive_integrate(s0, stepper, controller, T, dt, *tracking)
     return integrate_imex(s0, stepper, dt, T, *tracking)
 
@@ -372,7 +359,7 @@ class SemiclassicalReference:
     """
 
     def __init__(self, cfg: ExperimentConfig, problem: Problem):
-        dt = cfg.dt if cfg.dt is not None else 1.0 / 100
+        dt = cfg.dt if cfg.dt is not None else _SEMICLASSICAL_DT
         self.dt_ref = cfg.dt_ref if cfg.dt_ref is not None else dt / 20.0
         self.problem = problem
         self._cfg = cfg
@@ -437,19 +424,31 @@ def _loglog_slope(points) -> float:
 class ErrorSampler:
     """Observer collecting (t, error vs oracle) at accepted steps, thinned.
 
-    Past ``max_samples`` rows every other row is dropped, counting back from
-    the newest, so the last accepted step is always sampled.
+    It keeps every ``stride``-th accepted step and the newest one.  Past
+    ``max_samples`` rows the stride doubles, which drops every other kept
+    row, so the rows stay evenly spread over the run's steps.
     """
 
     def __init__(self, error_of, max_samples: int):
         self.error_of = error_of
         self.max_samples = max_samples
-        self.rows: list[tuple[float, float]] = []
+        self.stride = 1
+        self._steps = 0
+        self._kept: list[tuple[int, tuple[float, float]]] = []  # (accepted step number, row)
+
+    @property
+    def rows(self) -> list[tuple[float, float]]:
+        return [row for _, row in self._kept]
 
     def __call__(self, state: GridState) -> None:
-        self.rows.append((state.t, self.error_of(state)))
-        if len(self.rows) > self.max_samples:
-            self.rows = self.rows[(len(self.rows) - 1) % 2 :: 2]  # halve, keep the newest
+        if self._kept and self._kept[-1][0] % self.stride:
+            self._kept.pop()  # off the stride, it was kept only as the newest
+        self._steps += 1
+        self._kept.append((self._steps, (state.t, self.error_of(state))))
+        while len(self._kept) > self.max_samples:
+            self.stride *= 2
+            on_stride = [kept for kept in self._kept[:-1] if kept[0] % self.stride == 0]
+            self._kept = on_stride + self._kept[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +620,13 @@ def run_semiclassical(cfg: ExperimentConfig) -> ScenarioResult:
     problem, grid, s0 = _setup(cfg)
     if cfg.t_out:
         t_out = cfg.t_out
-    elif cfg.eps < 0.1 and not cfg.full_scale:
-        t_out = (0.4,)  # desk scale: the eps=0.05 fixed-step baselines are the costliest runs
+    elif cfg.eps < 0.1:
+        # desk scale: the eps=0.05 fixed-step baselines are the costliest
+        # runs; a full-scale run sets t_out = 0.8
+        t_out = (0.4,)
     else:
         t_out = (0.8,)
-    dt = cfg.dt if cfg.dt is not None else 1.0 / 100
+    dt = cfg.dt if cfg.dt is not None else _SEMICLASSICAL_DT
     reference = SemiclassicalReference(cfg, problem)
     result = ScenarioResult(["method", "t", "error", "runtime", "diagnosis"], [])
     density_rows: list[list] = []

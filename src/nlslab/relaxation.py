@@ -55,7 +55,8 @@ from .core import (
 )
 from .imexrk import ImExTableau, StepIncrements, imex_step
 
-#: Default residual below which a relaxation solve counts as converged.
+#: Residual below which a relaxation solve counts as converged; the two
+#: solves read it when called.
 CONSERVATION_TOL = 1e-12
 _LANDING_REL_TOL = 1e-12
 _MAX_NEWTON_ITERATIONS = 50
@@ -72,8 +73,7 @@ class RelaxationOutcome:
     ``gamma_total`` is gamma1 + gamma2 and scales the time advance;
     ``drifts`` are the invariants' measured |f_k(u) - target_k| at the
     returned parameters, and ``residual`` is their 2-norm.  ``converged``
-    implies the residual beat the conservation tolerance the solve was run
-    with.
+    implies the residual beat ``CONSERVATION_TOL``.
     """
 
     gamma1: float
@@ -175,7 +175,6 @@ def relax_single(
     dt: float,
     inv: InvariantFunctional,
     target: float,
-    conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Find gamma1 restoring the mass along direction d1.
 
@@ -195,7 +194,7 @@ def relax_single(
 
     def outcome(gamma: float, residual: float, iterations: int) -> RelaxationOutcome:
         r = abs(residual)
-        return RelaxationOutcome(gamma, 0.0, gamma, r, (r,), iterations, r < conservation_tol)
+        return RelaxationOutcome(gamma, 0.0, gamma, r, (r,), iterations, r < CONSERVATION_TOL)
 
     un1 = inc.u_next
     d = inc.d1
@@ -258,7 +257,6 @@ def relax_multi(
     dt: float,
     functionals: tuple[InvariantFunctional, InvariantFunctional],
     targets: tuple[float, float],
-    conservation_tol: float = CONSERVATION_TOL,
 ) -> RelaxationOutcome:
     """Solve the 2x2 conservation system for (gamma1, gamma2).
 
@@ -300,7 +298,7 @@ def relax_multi(
         # Full steps only above the tolerance: an attempt without a nearby
         # root then costs a single extra evaluation.
         gamma, r, norm, polished = _damped_newton(
-            measured, jacobian, gamma, *measured(gamma), _POLISH_STEPS, conservation_tol
+            measured, jacobian, gamma, *measured(gamma), _POLISH_STEPS, CONSERVATION_TOL
         )
         iterations += polished
         if norm < best_norm:
@@ -312,7 +310,7 @@ def relax_multi(
         best_norm,
         tuple(np.abs(best_r).tolist()),
         iterations,
-        best_norm < conservation_tol,
+        best_norm < CONSERVATION_TOL,
     )
 
 
@@ -345,7 +343,7 @@ def _finite(u: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(u.view(np.float64))))
 
 
-def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float, tol: float):
+def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float):
     """Single relaxation for one invariant, multiple for two.
 
     ``relax_single``/``relax_multi`` are resolved in this module on every
@@ -356,8 +354,8 @@ def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float, 
     """
     try:
         if len(functionals) == 1:
-            return relax_single(un, inc, dt, functionals[0], targets[0], conservation_tol=tol)
-        return relax_multi(un, inc, dt, functionals, targets, conservation_tol=tol)
+            return relax_single(un, inc, dt, functionals[0], targets[0])
+        return relax_multi(un, inc, dt, functionals, targets)
     except ConfigurationError:
         raise
     except (OverflowError, ValueError):
@@ -372,7 +370,6 @@ def _integrate(
     controller: ControllerConfig | None = None,
     invariants=None,
     relax: int = 0,
-    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """The step loop behind every integrator: march ``step(u, h) ->
@@ -441,7 +438,7 @@ def _integrate(
         if not relax:
             state = trial
         else:
-            out = _relax(relaxed, targets, state, inc, h, conservation_tol)
+            out = _relax(relaxed, targets, state, inc, h)
             if not out.converged:
                 record.steps.append(
                     StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
@@ -489,7 +486,6 @@ def adaptive_integrate(
     dt_initial: float,
     invariants=None,
     relax: int = 0,
-    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Hybrid adaptive integration to time T.
@@ -498,7 +494,7 @@ def adaptive_integrate(
     estimates >= 1 reject the step and retry with the proposed size.
     Otherwise, with ``relax`` = 1 or 2, relaxation restores the first
     ``relax`` of the tracked ``invariants`` to their values at s0; a residual
-    at or above ``conservation_tol`` rejects the step and retries at half
+    at or above ``CONSERVATION_TOL`` rejects the step and retries at half
     the size.  Accepted steps advance time by (1 + gamma_total) * dt and
     continue with the proposed size.  The final step's nominal size is
     shrunk to land on T; the exact landing differs by gamma_total * dt,
@@ -508,9 +504,7 @@ def adaptive_integrate(
     overflows, counts as an error rejection at half the step; the run aborts
     when dt falls below cfg.dt_min.
     """
-    return _integrate(
-        s0, stepper, dt_initial, T, cfg, invariants, relax, conservation_tol, observer
-    )
+    return _integrate(s0, stepper, dt_initial, T, cfg, invariants, relax, observer)
 
 
 def integrate_imex(
@@ -520,7 +514,6 @@ def integrate_imex(
     T: float,
     invariants=None,
     relax: int = 0,
-    conservation_tol: float = CONSERVATION_TOL,
     observer=None,
 ) -> tuple[GridState, RunRecord]:
     """Fixed-step ImEx march that tracks ``invariants`` and, with ``relax``
@@ -528,8 +521,8 @@ def integrate_imex(
     them each step.
 
     When a relaxation solve fails to converge (residual at or above
-    ``conservation_tol``) the step is retried at half the size, and the
+    ``CONSERVATION_TOL``) the step is retried at half the size, and the
     following step resumes the nominal dt; after 60 halvings of one step
     the run aborts.  The last step's nominal size is shrunk to land on T.
     """
-    return _integrate(s0, stepper, dt, T, None, invariants, relax, conservation_tol, observer)
+    return _integrate(s0, stepper, dt, T, None, invariants, relax, observer)

@@ -70,7 +70,7 @@ def test_parse_method_rejects_incompatible_combinations():
 
 
 def test_parse_config_example_document():
-    cfg = parse_config("scenario=convergence, method=SP-ImEx3(R), n=2, m=1120, T=1")
+    cfg = parse_config("scenario=convergence, method=SP-ImEx3(R), nsolitons=2, m=1120, T=1")
     assert cfg.scenario == "convergence"
     assert cfg.methods[0].label == "SP-ImEx3(R)"
     assert (cfg.n_solitons, cfg.m, cfg.T) == (2, 1120, 1.0)
@@ -298,12 +298,11 @@ def test_error_growth_refuses_semiclassical_configs(tmp_path):
 
 @pytest.mark.parametrize(
     "samples,kept",
-    [(5, [0.02, 0.04, 0.06]), (4, [0.01, 0.03, 0.05, 0.06]), (6, [0.01 * k for k in range(1, 7)])],
+    [(5, [0.02, 0.04, 0.06]), (4, [0.02, 0.04, 0.06]), (6, [0.01 * k for k in range(1, 7)])],
 )
 def test_error_growth_samples_the_last_accepted_step(tmp_path, samples, kept):
-    # Six accepted steps.  Past an odd limit the thinning keeps every other
-    # row counting back from the newest; past an even limit it keeps the
-    # rows that rows[::2] keeps, the newest among them.
+    # Six accepted steps.  Past the limit the stride doubles to 2, so every
+    # second step is kept, and the newest (the sixth) is one of them.
     cfg = parse_config(
         f"scenario=error_growth, nsolitons=2, m=1120, T=0.06, dt=0.01, samples={samples}, "
         f"methods=SP-ImEx4, out={tmp_path}/g.csv"
@@ -321,14 +320,36 @@ def test_error_sampler_keeps_the_newest_row_at_every_thinning():
         for k in range(1, 200):
             sampler(GridState(make_grid(0, 1, 4), np.zeros(4), t=float(k)))
             assert sampler.rows[-1] == (k, k) and len(sampler.rows) <= limit
-        if limit % 2 == 0:
-            # An even limit keeps the rows that plain rows[::2] kept.
-            rows = []
-            for k in range(1, 200):
-                rows.append((float(k), float(k)))
-                if len(rows) > limit:
-                    rows = rows[::2]
-            assert sampler.rows == rows
+            # the rows before the newest are every stride-th step
+            on_stride = [float(j) for j in range(sampler.stride, k, sampler.stride)]
+            assert [t for t, _ in sampler.rows[:-1]] == on_stride
+
+
+def test_error_sampler_rows_are_uniform_in_time():
+    # 2,000 evenly spaced steps on [0, 20] into 400 samples: every window
+    # holds within 2x of its share of the kept rows.
+    sampler = harness.ErrorSampler(lambda s: 0.0, 400)
+    grid = make_grid(0, 1, 4)
+    for k in range(1, 2001):
+        sampler(GridState(grid, np.zeros(4), t=k * 0.01))
+    t = np.array([t for t, _ in sampler.rows])
+    edges = np.array([0.0, 2.0, 5.0, 10.0, 15.0, 20.0])
+    counts = np.array([np.sum((a < t) & (t <= b)) for a, b in zip(edges, edges[1:])])
+    uniform = len(t) * np.diff(edges) / 20.0
+    assert counts.sum() == len(t) and t[-1] == 20.0
+    assert np.all(counts <= 2.0 * uniform) and np.all(counts >= uniform / 2.0), counts
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_refused_at_parse_time(samples):
+    with pytest.raises(ConfigurationError, match="samples"):
+        parse_config(f"scenario=error_growth, samples={samples}")
+
+
+def test_a_config_built_in_code_refuses_samples_below_one():
+    # the sampler keeps at least the newest row, so it has no cap below one
+    with pytest.raises(ConfigurationError, match="samples"):
+        replace(ExperimentConfig(scenario="error_growth"), samples=0)
 
 
 def test_runtime_scales_with_step_count():
@@ -525,15 +546,12 @@ def _as_is(values):
     return values.map(lambda v: (str(v), v))
 
 
-_BOOLEANS = ["1", "true", "Yes", "ON", "0", "false", "No", "off"]
-
 # (text, parsed value) strategies, one per config key
 _KEY_VALUES = {
     "scenario": _as_is(st.sampled_from(harness.SCENARIOS)),
     "method": _method_labels().map(lambda tv: (tv[0], (tv[1],))),
     "methods": _lists(_method_labels()),
     "nsolitons": _as_is(st.integers(1, 3)),
-    "n": _as_is(st.integers(1, 3)),
     "eps": _numbers(),
     "phase": _as_is(st.sampled_from(["constant_phase", "varying_phase"])),
     "m": _as_is(st.integers(4, 10**5)),
@@ -545,16 +563,12 @@ _KEY_VALUES = {
     "t_out": _lists(_numbers()),
     "out": _as_is(st.text("abcxyz0123456789_-./", min_size=1)),
     "format": _as_is(st.sampled_from(["csv", "json"])),
-    "seed": _as_is(st.integers(0, 2**31)),
     "fit_t_min": _numbers(),
     "fit_t_max": _numbers(),
     "samples": _as_is(st.integers(1, 10**4)),
-    "conservation_tol": _numbers(),
-    "max_growth": _numbers(),
     "dt_min": _numbers(),
     "dx_ref": _numbers(),
     "dt_ref": _numbers(),
-    "full_scale": st.sampled_from(_BOOLEANS).map(lambda t: (t, _BOOLEANS.index(t) < 4)),
 }
 
 
@@ -566,7 +580,7 @@ def test_every_config_key_has_a_value_strategy():
 def test_config_document_round_trips_through_the_echo(data):
     # a document of valid values parses to the config those values make; a
     # later key overrides an earlier one of the same attribute (method and
-    # methods, n and nsolitons)
+    # methods)
     keys = data.draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), unique=True))
     keys = ["scenario", *data.draw(st.permutations([k for k in keys if k != "scenario"]))]
     values, lines = {}, []
@@ -731,5 +745,5 @@ def test_semiclassical_desk_scale_default(tmp_path):
     )
     result = run_scenario(parse_config(base))
     assert [row[1] for row in result.rows] == [0.4]
-    result = run_scenario(parse_config(base + ", full_scale=true"))
+    result = run_scenario(parse_config(base + ", t_out=0.8"))
     assert [row[1] for row in result.rows] == [0.8]

@@ -186,13 +186,17 @@ def test_relax_single_no_real_root_reports_failure():
 
 
 @pytest.mark.parametrize("tol,converged", [(1e-12, True), (1e-16, False)])
-def test_relax_single_without_a_root_measures_gamma_zero(tol, converged):
+def test_relax_single_without_a_root_measures_gamma_zero(monkeypatch, tol, converged):
     # d1 is orthogonal to u_next, so the mass only grows along it; a u_next
     # one ulp above the target mass leaves the quadratic without a real root.
+    # The solve reads the tolerance from the module when it is called.
+    import nlslab.relaxation as relaxation
+
+    monkeypatch.setattr(relaxation, "CONSERVATION_TOL", tol)
     un = _toy_state([1.0, 0, 0, 0])  # dx = 1, mass 1
     inc = _increments([1.0 + 2.0**-52, 0, 0, 0], [0.0, 1.0, 0, 0])
     mass = mass_functional()
-    out = relax_single(un, inc, 1.0, mass, 1.0, conservation_tol=tol)
+    out = relax_single(un, inc, 1.0, mass, 1.0)
     assert (out.gamma1, out.gamma_total, out.iterations) == (0.0, 0.0, 0)
     assert out.residual == mass.evaluate(un.with_u(inc.u_next)) - 1.0 == 2.0**-51
     assert out.drifts == (out.residual,)
@@ -334,11 +338,11 @@ def test_relaxer_calls_its_solve_through_the_module(monkeypatch, count, solve):
         return RelaxationOutcome(0.0, 0.0, 0.0, 0.0, (0.5,) * count, 0, True)
 
     monkeypatch.setattr(relaxation, solve, record)
-    _, run = integrate_imex(un, _unchanged, 0.1, 0.1, functionals, count, conservation_tol=1e-9)
+    _, run = integrate_imex(un, _unchanged, 0.1, 0.1, functionals, count)
     (args, kwargs), = calls
     targets = tuple(f.evaluate(un) for f in functionals[:count])
     expected = (functionals[0], targets[0]) if count == 1 else (tuple(functionals), targets)
-    assert args[0] is un and args[3:] == expected and kwargs == {"conservation_tol": 1e-9}
+    assert args[0] is un and args[3:] == expected and kwargs == {}
     # _unchanged keeps the state, so a measured energy drift is 0
     assert (run.max_mass_drift, run.max_energy_drift) == (0.5, 0.5 if count == 2 else 0.0)
 
@@ -722,7 +726,9 @@ def test_fixed_step_landing_matches_final_time():
     assert abs(out.t - 0.1) <= abs(record.steps[-1].gamma_total) * last_nominal + 1e-15
 
 
-def test_fixed_step_halving_cap_raises(fem_setup):
+def test_fixed_step_halving_cap_raises(monkeypatch, fem_setup):
+    import nlslab.relaxation as relaxation
+
     grid, op, un = fem_setup
     mass = mass_functional()
     doubled = InvariantFunctional(
@@ -735,8 +741,9 @@ def test_fixed_step_halving_cap_raises(fem_setup):
     # No residual beats a zero tolerance, so every attempt is halved.  At the
     # default tolerance the run would go on: once a step is small enough to
     # conserve mass to 1e-12 unrelaxed, gamma = (0, 0) converges.
+    monkeypatch.setattr(relaxation, "CONSERVATION_TOL", 0.0)
     with pytest.raises(NumericalFailureError, match="halvings"):
-        integrate_imex(un, stepper, 0.01, 1.0, [mass, doubled], relax=2, conservation_tol=0.0)
+        integrate_imex(un, stepper, 0.01, 1.0, [mass, doubled], relax=2)
 
 
 def test_fixed_step_overflow_in_relaxation_halves_the_step(fem_setup):
