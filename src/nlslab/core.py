@@ -441,7 +441,8 @@ class StepRow:
     t: float
     dt: float
     eps: float | None
-    gamma_total: float
+    gamma1: float
+    gamma2: float
     residual: float | None
     disposition: str
 

@@ -319,7 +319,7 @@ def run_method(
             s0, sch, op, problem.b, dt, T, invariants=invariants, observer=observer
         )
     tab = tableau(method.family)
-    stepper = make_imex_stepper(tab, op, cubic_term(problem.b))
+    stepper = make_imex_stepper(tab, op, cubic_term(problem.b), method.relax)
     tracking = (invariants, method.relax, observer)
     if method.error_control:
         controller = ControllerConfig(cfg.tol, tab.embedded_order, dt_min=cfg.dt_min)
@@ -426,7 +426,12 @@ class ErrorSampler:
 
     It keeps every ``stride``-th accepted step and the newest one.  Past
     ``max_samples`` rows the stride doubles, which drops every other kept
-    row, so the rows stay evenly spread over the run's steps.
+    row, so the rows stay evenly spread over the run's steps.  A state that
+    arrives on the stride is scored at once; one off it is held unscored,
+    and ``error_of`` runs on it only if ``rows`` is read before the next
+    state replaces it.  (Holding every newest state instead kept one more
+    state vector alive per step, which doubled the minor page faults of a
+    2-soliton growth call at m=4480.)
     """
 
     def __init__(self, error_of, max_samples: int):
@@ -435,20 +440,30 @@ class ErrorSampler:
         self.stride = 1
         self._steps = 0
         self._kept: list[tuple[int, tuple[float, float]]] = []  # (accepted step number, row)
+        self._pending: GridState | None = None  # the newest state, until scored
+        self._newest: tuple[float, float] | None = None  # its row, once scored
+
+    def _newest_row(self) -> tuple[float, float]:
+        if self._pending is not None:
+            self._newest = (self._pending.t, self.error_of(self._pending))
+            self._pending = None
+        return self._newest
 
     @property
     def rows(self) -> list[tuple[float, float]]:
-        return [row for _, row in self._kept]
+        rows = [row for _, row in self._kept]
+        return rows + [self._newest_row()] if self._steps else rows
 
     def __call__(self, state: GridState) -> None:
-        if self._kept and self._kept[-1][0] % self.stride:
-            self._kept.pop()  # off the stride, it was kept only as the newest
+        if self._steps and self._steps % self.stride == 0:
+            self._kept.append((self._steps, self._newest_row()))
         self._steps += 1
-        self._kept.append((self._steps, (state.t, self.error_of(state))))
-        while len(self._kept) > self.max_samples:
+        self._pending = state
+        while len(self._kept) >= self.max_samples:
             self.stride *= 2
-            on_stride = [kept for kept in self._kept[:-1] if kept[0] % self.stride == 0]
-            self._kept = on_stride + self._kept[-1:]
+            self._kept = [kept for kept in self._kept if kept[0] % self.stride == 0]
+        if self._steps % self.stride == 0:
+            self._newest_row()
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +698,13 @@ def _write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-STEP_COLUMNS = ["t", "dt", "eps", "Gamma", "residual", "disposition"]
+STEP_COLUMNS = ["t", "dt", "eps", "Gamma", "gamma2", "residual", "disposition"]
 
 
 def _record_payload(record: RunRecord, echo: dict | None) -> dict:
-    steps = [[r.t, r.dt, r.eps, r.gamma_total, r.residual, r.disposition] for r in record.steps]
+    steps = [
+        [r.t, r.dt, r.eps, r.gamma1, r.gamma2, r.residual, r.disposition] for r in record.steps
+    ]
     return {
         "config": echo,
         "summary": record.summary(),

@@ -14,7 +14,9 @@ The stiff part is a Fourier multiplier
 coefficients: the shifted solve is a divide by 1 - mu*symbol, f is a
 multiply by the symbol, and only the explicit cubic term and the two
 increments go through physical space, so an ImEx4 step takes 14 DFTs and
-an ImEx3 step 10 (Kennedy and Carpenter, Appl. Numer. Math. 44, 2003).
+an ImEx3 step 10 (Kennedy and Carpenter, Appl. Numer. Math. 44, 2003).  A
+step asked for the implicit half of the main increment, the second
+direction of multiple relaxation, takes one inverse DFT more: 15 on ImEx4.
 
 Tableau coefficients are embedded as exact rational literals and validated
 by the order-condition evaluator below; the evaluator, not the
@@ -39,9 +41,11 @@ class ImExTableau:
 
     ``a_im`` is lower triangular (nonzero diagonal allowed), ``a_ex``
     strictly lower triangular.  ``b_main`` carries the order-p weights and
-    ``b_embedded`` the order-q companion used for error estimation and as a
-    second relaxation direction.  The derived ``stage_rows`` (a_im, a_ex)
-    and ``increment_rows`` (b_main, b_embedded) interleave them per stage.
+    ``b_embedded`` the order-q companion used for error estimation.  The
+    derived ``stage_rows`` (a_im, a_ex) and ``increment_rows`` interleave
+    them per stage; the increment rows are b_main, b_embedded and b_main on
+    the implicit stages alone (zero on the explicit ones), which gives the
+    implicit half of the main increment.
     """
 
     name: str
@@ -72,7 +76,9 @@ class ImExTableau:
                 raise ConfigurationError(f"{label} row sums do not match abscissae")
         rows = np.stack([self.a_im, self.a_ex], axis=2).reshape(self.s, -1)
         object.__setattr__(self, "stage_rows", rows)
-        object.__setattr__(self, "increment_rows", np.repeat([self.b_main, self.b_embedded], 2, 1))
+        increments = np.repeat([self.b_main, self.b_embedded, self.b_main], 2, 1)
+        increments[2, 1::2] = 0.0
+        object.__setattr__(self, "increment_rows", increments)
 
 
 def _tableau_imex3() -> ImExTableau:
@@ -213,16 +219,18 @@ class StepIncrements:
     """Main and embedded increments of one step.
 
     ``u_next = u + dt*d1`` is the order-p update; the embedded companion is
-    ``u + dt*d2``.
+    ``u + dt*d2``.  ``d_im``, the implicit stages' share of d1, is formed
+    only when asked for (multiple relaxation searches along it), else None.
     """
 
     u_next: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    d_im: np.ndarray | None = None
 
 
 def imex_step(
-    u, t: ImExTableau, dt: float, fim: SpectralOperator, fex, *, _stages=None
+    u, t: ImExTableau, dt: float, fim: SpectralOperator, fex, *, implicit_half=False, _stages=None
 ) -> StepIncrements:
     """One additive RK step from the state vector ``u``.
 
@@ -235,13 +243,13 @@ def imex_step(
     The 2s stage derivatives fill one complex (2s, m) array K (``_stages``
     if given, which a stepper reuses from step to step): on its float64 view
     stage i's right-hand side is ``û + (dt*t.stage_rows[i, :2i]) @ K[:2i]``,
-    with û the DFT of the state; d1, d2 are ``t.increment_rows @ K``
-    transformed back.  Stage i's slot K[2i] is its scratch: its right-hand
-    side is written there, and ``symbol * ĝ`` overwrites it once the shifted
-    solve ĝ is taken; u_next is ``dt*d1`` with u added in place.  Each
-    product, sum and quotient keeps its operands and their order, so the
-    in-place forms round as the plain expressions do.  u_next, d1 and d2 are
-    fresh arrays.
+    with û the DFT of the state; d1, d2 (and d_im if ``implicit_half``) are
+    ``t.increment_rows @ K`` transformed back.  Stage i's slot K[2i] is its
+    scratch: its right-hand side is written there, and ``symbol * ĝ``
+    overwrites it once the shifted solve ĝ is taken; u_next is ``dt*d1``
+    with u added in place.  Each product, sum and quotient keeps its
+    operands and their order, so the in-place forms round as the plain
+    expressions do.  u_next and the increments are fresh arrays.
     """
     if not isinstance(fim, SpectralOperator):
         raise ConfigurationError(
@@ -268,7 +276,8 @@ def imex_step(
         g = u if i == 0 and mu == 0.0 else inverse(ghat)
         np.multiply(fim.symbol, ghat, out=stages[2 * i])
         stages[2 * i + 1] = forward(fex(g))
-    # Two products: one (2, 2m) result exceeds a 128 KiB mmap threshold at m=4480.
-    d1, d2 = (inverse((w @ flat).view(np.complex128)) for w in t.increment_rows)
+    # One product per row: a (2, 2m) result exceeds a 128 KiB mmap threshold at m=4480.
+    rows = t.increment_rows if implicit_half else t.increment_rows[:2]
+    d1, d2, *d_im = (inverse((w @ flat).view(np.complex128)) for w in rows)
     u_next = np.multiply(dt, d1)
-    return StepIncrements(u_next=np.add(u, u_next, out=u_next), d1=d1, d2=d2)
+    return StepIncrements(np.add(u, u_next, out=u_next), d1, d2, *d_im)

@@ -1,18 +1,29 @@
 """Relaxation post-processing, the hybrid adaptive step controller, and the
 step loop every integrator runs.
 
-After an embedded ImEx step produces directions d1 and d2, relaxation picks
+After an ImEx step produces its main increment d1, relaxation picks
 coefficients (gamma1, gamma2) so the updated solution
 
-    u_next + dt * (gamma1 * d1 + gamma2 * d2)
+    u_next + dt * (gamma1 * d1 + gamma2 * d_im)
 
 restores the chosen invariants exactly, and time advances by
-(1 + gamma1 + gamma2) * dt.  Single relaxation (gamma2 = 0) enforces the
-mass, whose defining equation is a scalar quadratic solved in closed form.
-Multiple relaxation enforces mass and energy together.  Along the family
-they are polynomials in (gamma1, gamma2), so Newton runs on their exact
-coefficients before a short polish against the measured functionals
-(Ketcheson, SINUM 57(6) 2019; Biswas and Ketcheson on multiple relaxation).
+(1 + gamma1) * dt.  Single relaxation (gamma2 = 0) enforces the mass, whose
+defining equation is a scalar quadratic solved in closed form.  Multiple
+relaxation enforces mass and energy together.  Along the family they are
+polynomials in (gamma1, gamma2), so Newton runs on their exact coefficients
+before a short polish against the measured functionals (Ketcheson, SINUM
+57(6) 2019; Biswas and Ketcheson on multiple relaxation).
+
+The second direction d_im is the implicit stages' share of d1, which a
+stepper for multiple relaxation forms with one more inverse DFT (15 per
+ImEx4 step, not 14).  The source paper relaxes along (d1, d2) instead, d2
+the embedded increment; but d1 - d2 = O(dt^3), so that plane is nearly
+degenerate, and its solve lands at |gamma| ~ 1 with gamma1 ~ -gamma2, or
+finds no root (on the 2-soliton growth run, 110 of 244 attempts were
+rejected).  In the (d1, d_im) plane gamma stays a small perturbation of the
+unrelaxed step, as the order argument of Ranocha et al. (SISC 42(2), 2020)
+asks, and time advances along d1 alone.  Biswas and Ketcheson (J. Sci.
+Comput. 2023) leave the choice of directions free.
 
 Numerical care: every run enforces the invariants against their *initial*
 values (equivalent to matching the previous step in exact arithmetic, by
@@ -70,15 +81,14 @@ _MAX_HALVINGS = 60
 class RelaxationOutcome:
     """Result of one relaxation solve.
 
-    ``gamma_total`` is gamma1 + gamma2 and scales the time advance;
-    ``drifts`` are the invariants' measured |f_k(u) - target_k| at the
-    returned parameters, and ``residual`` is their 2-norm.  ``converged``
-    implies the residual beat ``CONSERVATION_TOL``.
+    ``gamma1`` scales the time advance, (1 + gamma1) * dt; ``drifts`` are
+    the invariants' measured |f_k(u) - target_k| at the returned parameters,
+    and ``residual`` is their 2-norm.  ``converged`` implies the residual
+    beat ``CONSERVATION_TOL``.
     """
 
     gamma1: float
     gamma2: float
-    gamma_total: float
     residual: float
     drifts: tuple[float, ...]
     iterations: int
@@ -162,10 +172,10 @@ def _smallest_magnitude_root(a: float, b: float, c: float) -> float | None:
 
 
 def _relaxed_vector(inc: StepIncrements, dt: float, gamma1, gamma2=0.0) -> np.ndarray:
-    """u_next + dt*(gamma1*d1 + gamma2*d2), the one formula for a relaxed
+    """u_next + dt*(gamma1*d1 + gamma2*d_im), the one formula for a relaxed
     state: the solvers measure their residuals on exactly the vector that
     the step loop accepts."""
-    step = gamma1 * inc.d1 if gamma2 == 0.0 else gamma1 * inc.d1 + gamma2 * inc.d2
+    step = gamma1 * inc.d1 if gamma2 == 0.0 else gamma1 * inc.d1 + gamma2 * inc.d_im
     return inc.u_next + dt * step
 
 
@@ -194,7 +204,7 @@ def relax_single(
 
     def outcome(gamma: float, residual: float, iterations: int) -> RelaxationOutcome:
         r = abs(residual)
-        return RelaxationOutcome(gamma, 0.0, gamma, r, (r,), iterations, r < CONSERVATION_TOL)
+        return RelaxationOutcome(gamma, 0.0, r, (r,), iterations, r < CONSERVATION_TOL)
 
     un1 = inc.u_next
     d = inc.d1
@@ -261,13 +271,19 @@ def relax_multi(
     """Solve the 2x2 conservation system for (gamma1, gamma2).
 
     Each functional's ``restrict`` gives its change along u_next + g1*A + g2*B
-    (A = dt*d1, B = dt*d2) as an exact polynomial; with the measured residual
-    at (0, 0) as constant term, damped Newton runs on that model from (0, 0).
-    At most _POLISH_STEPS corrections with the model Jacobian then polish its
-    best point against the measured functionals, and the point with the
-    smallest measured residual is returned.  A singular Jacobian or stalled
-    iteration yields a non-converged outcome for step-halving fallback.
+    (A = dt*d1, B = dt*d_im) as an exact polynomial; with the measured
+    residual at (0, 0) as constant term, damped Newton runs on that model
+    from (0, 0).  At most _POLISH_STEPS corrections with the model Jacobian
+    then polish its best point against the measured functionals, and the
+    point with the smallest measured residual is returned.  A singular
+    Jacobian or stalled iteration yields a non-converged outcome for
+    step-halving fallback.  Increments without d_im are refused.
     """
+    if inc.d_im is None:
+        raise ConfigurationError(
+            "multiple relaxation needs the step's implicit half d_im; "
+            "build the stepper with make_imex_stepper(..., relax=2)"
+        )
     f1, f2 = functionals
 
     def measured(gamma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -277,7 +293,7 @@ def relax_multi(
 
     best_gamma = np.zeros(2)
     best_r, best_norm = measured(best_gamma)  # 0 ends the solve with no iteration
-    A, B = dt * inc.d1, dt * inc.d2
+    A, B = dt * inc.d1, dt * inc.d_im
     coeffs = np.array([f.restrict(inc.u_next, A, B, un.grid) for f in functionals])
     coeffs[:, 0, 0] = best_r  # coeffs[k, i, j] multiplies g1**i * g2**j in residual k
     by_g1 = coeffs[:, 1:, :] * _POWERS[1:, None]
@@ -306,7 +322,6 @@ def relax_multi(
     return RelaxationOutcome(
         float(best_gamma[0]),
         float(best_gamma[1]),
-        float(best_gamma.sum()),
         best_norm,
         tuple(np.abs(best_r).tolist()),
         iterations,
@@ -314,14 +329,17 @@ def relax_multi(
     )
 
 
-def make_imex_stepper(tab: ImExTableau, fim, fex):
+def make_imex_stepper(tab: ImExTableau, fim, fex, relax: int = 0):
     """Bind a tableau and semi-discretization into a (u, dt) -> increments stepper.
 
-    The stepper allocates imex_step's complex stage array on its first step
-    and reuses it for every later step on vectors of the same length; the
-    increments it returns are fresh arrays.  The stage array is 860 KB at
-    m=4480: where blocks that large are mapped afresh (glibc's initial mmap
-    threshold is 128 KiB), one per step would page-fault on every step.
+    A stepper for ``relax=2`` runs also forms each step's implicit half
+    d_im, the second direction of multiple relaxation (one inverse DFT
+    more); any other stepper leaves it None.  The stepper allocates
+    imex_step's complex stage array on its first step and reuses it for
+    every later step on vectors of the same length; the increments it
+    returns are fresh arrays.  The stage array is 860 KB at m=4480: where
+    blocks that large are mapped afresh (glibc's initial mmap threshold is
+    128 KiB), one per step would page-fault on every step.
     """
     stages = np.empty(0)
 
@@ -329,7 +347,7 @@ def make_imex_stepper(tab: ImExTableau, fim, fex):
         nonlocal stages
         if stages.shape[1:] != u.shape:
             stages = np.empty((2 * tab.s, *u.shape), np.complex128)
-        return imex_step(u, tab, dt, fim, fex, _stages=stages)
+        return imex_step(u, tab, dt, fim, fex, implicit_half=relax == 2, _stages=stages)
 
     return stepper
 
@@ -359,7 +377,7 @@ def _relax(functionals, targets, un: GridState, inc: StepIncrements, dt: float):
     except ConfigurationError:
         raise
     except (OverflowError, ValueError):
-        return RelaxationOutcome(0.0, 0.0, 0.0, np.inf, (np.inf,) * len(functionals), 0, False)
+        return RelaxationOutcome(0.0, 0.0, np.inf, (np.inf,) * len(functionals), 0, False)
 
 
 def _integrate(
@@ -431,18 +449,18 @@ def _integrate(
                 # Non-finite trial values, or an estimate that overflowed to
                 # NaN or inf, are logged as inf and retried at half the size.
                 eps = eps if np.isfinite(eps) else np.inf
-                record.steps.append(StepRow(state.t, h, eps, 0.0, None, EPS_REJECTED))
+                record.steps.append(StepRow(state.t, h, eps, 0.0, 0.0, None, EPS_REJECTED))
                 h_next = h / 2.0 if eps == np.inf else propose_step(eps, h, controller)
                 continue
-        gamma_total, residual, measured = 0.0, None, ()
+        gamma1, gamma2, residual, measured = 0.0, 0.0, None, ()
         if not relax:
             state = trial
         else:
             out = _relax(relaxed, targets, state, inc, h)
             if not out.converged:
-                record.steps.append(
-                    StepRow(state.t, h, eps, out.gamma_total, out.residual, CONSERVATION_REJECTED)
-                )
+                record.steps.append(StepRow(
+                    state.t, h, eps, out.gamma1, out.gamma2, out.residual, CONSERVATION_REJECTED
+                ))
                 halvings += 1
                 if controller is None and halvings > _MAX_HALVINGS:
                     raise NumericalFailureError(
@@ -451,9 +469,9 @@ def _integrate(
                     )
                 h_next = h / 2.0
                 continue
-            u = _relaxed_vector(inc, h, out.gamma1, out.gamma2)
-            state = state.with_u(u, t=state.t + (1.0 + out.gamma_total) * h)
-            gamma_total, residual, measured = out.gamma_total, out.residual, out.drifts
+            gamma1, gamma2, residual, measured = out.gamma1, out.gamma2, out.residual, out.drifts
+            u = _relaxed_vector(inc, h, gamma1, gamma2)
+            state = state.with_u(u, t=state.t + (1.0 + gamma1) * h)
         if tracker is not None:
             try:
                 drift = tracker.update(state, measured)
@@ -466,7 +484,7 @@ def _integrate(
                 residual = drift
         if observer is not None:
             observer(state)
-        record.steps.append(StepRow(state.t, h, eps, gamma_total, residual, ACCEPTED))
+        record.steps.append(StepRow(state.t, h, eps, gamma1, gamma2, residual, ACCEPTED))
         halvings = 0
         h_next = dt if controller is None else propose_step(eps, h, controller)
     record.runtime_seconds = time.perf_counter() - started
@@ -495,10 +513,10 @@ def adaptive_integrate(
     Otherwise, with ``relax`` = 1 or 2, relaxation restores the first
     ``relax`` of the tracked ``invariants`` to their values at s0; a residual
     at or above ``CONSERVATION_TOL`` rejects the step and retries at half
-    the size.  Accepted steps advance time by (1 + gamma_total) * dt and
+    the size.  Accepted steps advance time by (1 + gamma1) * dt and
     continue with the proposed size.  The final step's nominal size is
-    shrunk to land on T; the exact landing differs by gamma_total * dt,
-    which the record reports.
+    shrunk to land on T; the exact landing differs by gamma1 * dt, which
+    the record reports.
 
     A trial step producing non-finite values, or an error estimate that
     overflows, counts as an error rejection at half the step; the run aborts

@@ -67,7 +67,8 @@ def shifted_solve(op, rhs, mu):
 def per_term_step(u, t, dt, apply, solve, fex):
     """One ImEx step of tableau ``t`` summed term by term in state space,
     written independently of imex_step: ``apply`` is the stiff term and
-    ``solve(rhs, mu)`` the inverse of I - mu*apply.  Returns (u_next, d1, d2).
+    ``solve(rhs, mu)`` the inverse of I - mu*apply.  Returns (u_next, d1, d2,
+    d_im), d_im the implicit stages' share of d1.
     """
     k_im, k_ex = [], []
     for i in range(t.s):
@@ -80,4 +81,5 @@ def per_term_step(u, t, dt, apply, solve, fex):
         k_ex.append(fex(g))
     d1 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_main, k_im, k_ex))
     d2 = sum(b * (ki + ke) for b, ki, ke in zip(t.b_embedded, k_im, k_ex))
-    return u + dt * d1, d1, d2
+    d_im = sum(b * ki for b, ki in zip(t.b_main, k_im))
+    return u + dt * d1, d1, d2, d_im

@@ -176,8 +176,8 @@ def test_json_output_carries_the_extra_tables(tmp_path):
 
 def test_emit_step_schema_and_json_round_trip(tmp_path):
     steps = [
-        StepRow(0.01, 0.01, 0.25, 1e-9, 3e-16, "accepted"),
-        StepRow(0.01, 0.02, 1.75, 0.0, None, "eps-rejected"),
+        StepRow(0.01, 0.01, 0.25, 1e-9, -2e-9, 3e-16, "accepted"),
+        StepRow(0.01, 0.02, 1.75, 0.0, 0.0, None, "eps-rejected"),
     ]
     record = RunRecord(steps, final_t=0.01, max_mass_drift=3.0e-16)
     json_path = tmp_path / "run.json"
@@ -187,8 +187,10 @@ def test_emit_step_schema_and_json_round_trip(tmp_path):
     assert payload["summary"]["max_mass_drift"] == record.max_mass_drift
     counts = ("accepted", "eps_rejections", "conservation_rejections")
     assert [payload["summary"][key] for key in counts] == [1, 1, 0]
-    assert payload["step_columns"] == ["t", "dt", "eps", "Gamma", "residual", "disposition"]
-    assert payload["steps"][1][5] == "eps-rejected"
+    columns = ["t", "dt", "eps", "Gamma", "gamma2", "residual", "disposition"]
+    assert payload["step_columns"] == columns
+    assert payload["steps"][0][3:5] == [1e-9, -2e-9]
+    assert payload["steps"][1][6] == "eps-rejected"
     assert payload["config"]["scenario"] == "demo"
 
 
@@ -323,6 +325,21 @@ def test_error_sampler_keeps_the_newest_row_at_every_thinning():
             # the rows before the newest are every stride-th step
             on_stride = [float(j) for j in range(sampler.stride, k, sampler.stride)]
             assert [t for t, _ in sampler.rows[:-1]] == on_stride
+
+
+def test_error_sampler_scores_only_the_rows_it_keeps():
+    # 2,000 steps into 400 rows keep 250; error_of runs on the 850 states
+    # that were on the stride when they arrived, plus an off-stride newest
+    # state once rows is read, never twice on one state.
+    grid = make_grid(0, 1, 4)
+    for steps, calls in ((2000, 850), (2001, 851), (134, 134)):
+        scored = []
+        sampler = harness.ErrorSampler(lambda s: scored.append(s.t) or -s.t, 400)
+        for k in range(1, steps + 1):
+            sampler(GridState(grid, np.zeros(4), t=float(k)))
+        rows = sampler.rows
+        assert sampler.rows == rows and len(scored) == len(set(scored)) == calls
+        assert rows[-1] == (steps, -steps) and all(e == -t for t, e in rows)
 
 
 def test_error_sampler_rows_are_uniform_in_time():

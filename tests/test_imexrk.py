@@ -51,8 +51,9 @@ def test_interleaved_rows_hold_the_tableau(name):
     t = tableau(name)
     assert np.array_equal(t.stage_rows[:, 0::2], t.a_im)
     assert np.array_equal(t.stage_rows[:, 1::2], t.a_ex)
-    for rows in (t.increment_rows[:, 0::2], t.increment_rows[:, 1::2]):
-        assert np.array_equal(rows, [t.b_main, t.b_embedded])
+    # d1, d2 and the implicit half of d1: b_main on the implicit stages only
+    assert np.array_equal(t.increment_rows[:, 0::2], [t.b_main, t.b_embedded, t.b_main])
+    assert np.array_equal(t.increment_rows[:, 1::2], [t.b_main, t.b_embedded, 0 * t.b_main])
 
 
 def test_order_conditions_forward_euler_pair():
@@ -200,22 +201,27 @@ def test_stage_kernel_matches_per_term_reference(name, make_operator, dt):
     s0, beta = soliton_initial(2, grid)
     stiff, nonstiff = make_operator(grid, 1.0), cubic_term(beta)
     t = tableau(name)
-    inc = imex_step(s0.u, t, dt, stiff, nonstiff)
+    inc = imex_step(s0.u, t, dt, stiff, nonstiff, implicit_half=True)
     solve = functools.partial(shifted_solve, stiff)
-    u_next, d1, d2 = per_term_step(s0.u, t, dt, stiff.apply, solve, nonstiff)
+    u_next, d1, d2, d_im = per_term_step(s0.u, t, dt, stiff.apply, solve, nonstiff)
     # The stage derivatives grow like 1/dt at the stiff modes; dt*d is on
     # the scale of the state, as the update u + dt*d1 uses it.
     ulps = 10 * np.finfo(float).eps * np.max(np.abs(s0.u))
     assert np.max(np.abs(inc.u_next - u_next)) <= ulps
     assert dt * np.max(np.abs(inc.d1 - d1)) <= ulps
     assert dt * np.max(np.abs(inc.d2 - d2)) <= ulps
+    assert dt * np.max(np.abs(inc.d_im - d_im)) <= ulps
+    # Not asked for, the implicit half is not formed; the rest is bitwise the same.
+    plain = imex_step(s0.u, t, dt, stiff, nonstiff)
+    assert plain.d_im is None and _bits(plain) == _bits(inc)[:3]
 
 
 @pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
 @pytest.mark.parametrize("name,transforms", [("ImEx3", 10), ("ImEx4", 14)])
 def test_multiplier_step_transform_count(name, transforms, make_operator, monkeypatch):
     # One forward DFT of u and of each stage's cubic term, one inverse DFT
-    # per implicit stage and per increment; counted where a tracer counts.
+    # per implicit stage and per increment (d_im is one more); counted where
+    # a tracer counts.
     grid = make_grid(-35, 35, 448)
     s0, beta = soliton_initial(2, grid)
     stiff, nonstiff = make_operator(grid, 1.0), cubic_term(beta)
@@ -228,19 +234,22 @@ def test_multiplier_step_transform_count(name, transforms, make_operator, monkey
             return original(u)
 
         monkeypatch.setattr(spectral, attr, counted)
-    imex_step(s0.u, tableau(name), 0.01, stiff, nonstiff)
-    assert len(calls) == transforms
+    for implicit_half in (False, True):
+        calls.clear()
+        imex_step(s0.u, tableau(name), 0.01, stiff, nonstiff, implicit_half=implicit_half)
+        assert len(calls) == transforms + implicit_half
 
 
 @pytest.mark.parametrize("name", ["ImEx3", "ImEx4"])
 def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, monkeypatch):
     grid, s0, stiff, nonstiff = soliton_setup
     t = tableau(name)
-    passed = []
+    passed, halves = [], []
 
-    def recording_step(*args, _stages=None):
+    def recording_step(*args, implicit_half=False, _stages=None):
         passed.append(_stages)
-        return imex_step(*args, _stages=_stages)
+        halves.append(implicit_half)
+        return imex_step(*args, implicit_half=implicit_half, _stages=_stages)
 
     monkeypatch.setattr(relaxation, "imex_step", recording_step)
     stepper = make_imex_stepper(t, stiff, nonstiff)
@@ -268,10 +277,16 @@ def test_stepper_reuses_its_stages_but_not_its_increments(soliton_setup, name, m
     real = s0.u.real.copy()
     expected = imex_step(real, t, 0.01, stiff, nonstiff).u_next
     assert np.array_equal(make_imex_stepper(t, stiff, nonstiff)(real, 0.01).u_next, expected)
+    # Only a stepper for multiple relaxation asks for the implicit half.
+    assert not any(halves)
+    for relax in (0, 1, 2):
+        assert (make_imex_stepper(t, stiff, nonstiff, relax)(s0.u, 0.01).d_im is None) == (relax < 2)
+    assert halves[-3:] == [False, False, True]
 
 
 def _bits(inc):
-    return [a.view(np.float64).tobytes() for a in (inc.u_next, inc.d1, inc.d2)]
+    arrays = (inc.u_next, inc.d1, inc.d2) + (() if inc.d_im is None else (inc.d_im,))
+    return [a.view(np.float64).tobytes() for a in arrays]
 
 
 @pytest.mark.parametrize("make_operator", [spectral_operator, fem_operator])
@@ -290,6 +305,10 @@ def test_reused_stage_scratch_carries_nothing_between_steps(name, make_operator)
         inc = stepper(u, dt)
         assert _bits(inc) == _bits(imex_step(u, t, dt, stiff, nonstiff))
         u = inc.u_next
+    halves = make_imex_stepper(t, stiff, nonstiff, relax=2)
+    for dt in (0.03, 0.002, 0.01):
+        fresh = imex_step(u, t, dt, stiff, nonstiff, implicit_half=True)
+        assert _bits(halves(u, dt)) == _bits(fresh)
     for length in (224, 448, 896, 448):
         v = np.resize(u, length)
         if length != grid.m:
