@@ -11,8 +11,9 @@ restores the chosen invariants exactly, and time advances by
 defining equation is a scalar quadratic solved in closed form.  Multiple
 relaxation enforces mass and energy together.  Along the family they are
 polynomials in (gamma1, gamma2), so Newton runs on their exact coefficients
-before a short polish against the measured functionals (Ketcheson, SINUM
-57(6) 2019; Biswas and Ketcheson on multiple relaxation).
+(Ketcheson, SINUM 57(6) 2019; Biswas and Ketcheson on multiple relaxation).
+Either solve is one root-find followed by one measurement of the
+functionals at the gamma it returns.
 
 The second direction d_im is the implicit stages' share of d1, which a
 stepper for multiple relaxation forms with one more inverse DFT (15 per
@@ -27,9 +28,10 @@ Comput. 2023) leave the choice of directions free.
 
 Numerical care: every run enforces the invariants against their *initial*
 values (equivalent to matching the previous step in exact arithmetic, by
-induction), and root finding keeps the iterate with the smallest measured
-residual.  This stops per-step rounding from random-walking across a long
-run, which matters because conserved drifts are asserted near 1e-15.
+induction).  This stops per-step rounding from random-walking across a long
+run, which matters because conserved drifts are asserted near 1e-15: each
+step's rounding error is corrected by the next step's solve instead of
+adding up.
 
 Splitting, fixed-step ImEx and adaptive ImEx share one step loop, which
 owns a run's invariants: take a step, estimate its error if a controller
@@ -71,8 +73,6 @@ from .imexrk import ImExTableau, StepIncrements, imex_step
 CONSERVATION_TOL = 1e-12
 _LANDING_REL_TOL = 1e-12
 _MAX_NEWTON_ITERATIONS = 50
-_MAX_DAMPING_HALVINGS = 10
-_POLISH_STEPS = 3
 _POWERS = np.arange(5.0)
 _MAX_HALVINGS = 60
 
@@ -84,7 +84,8 @@ class RelaxationOutcome:
     ``gamma1`` scales the time advance, (1 + gamma1) * dt; ``drifts`` are
     the invariants' measured |f_k(u) - target_k| at the returned parameters,
     and ``residual`` is their 2-norm.  ``converged`` implies the residual
-    beat ``CONSERVATION_TOL``.
+    beat ``CONSERVATION_TOL``.  ``iterations`` counts the Newton iterations
+    on the multiple-relaxation model; it is 0 for the closed-form mass root.
     """
 
     gamma1: float
@@ -189,23 +190,15 @@ def relax_single(
     """Find gamma1 restoring the mass along direction d1.
 
     The mass dx * sum(w*|u|^2), w the functional's node weight, is quadratic
-    along d1, so the equation is solved in closed form (smallest-magnitude
-    real root, ties toward positive) and then polished against the measured
-    functional.  Without a real root the outcome is gamma1 = 0 with its
-    measured residual, converged if that residual beats the tolerance.  An
-    invariant of any other kind is refused.
+    along d1, so the equation is solved in closed form: gamma1 is its
+    smallest-magnitude real root (ties toward positive), or 0 when it has
+    none.  The mass is then measured once, at that gamma1, and the outcome
+    is converged if that residual beats the tolerance; ``iterations`` is 0.
+    An invariant of any other kind is refused.
     """
     if inv.kind != "mass":
         raise ConfigurationError(f"single relaxation enforces the mass, not {inv.kind!r}")
     dx = un.grid.dx
-
-    def measured(gamma: float) -> float:
-        return inv.evaluate(un.with_u(_relaxed_vector(inc, dt, gamma))) - target
-
-    def outcome(gamma: float, residual: float, iterations: int) -> RelaxationOutcome:
-        r = abs(residual)
-        return RelaxationOutcome(gamma, 0.0, r, (r,), iterations, r < CONSERVATION_TOL)
-
     un1 = inc.u_next
     d = inc.d1
     s_uu = exact_sum(inv.weight * (un1.real**2 + un1.imag**2))
@@ -216,49 +209,9 @@ def relax_single(
     c_coef = dx * s_uu - target
     gamma = _smallest_magnitude_root(a_coef, b_coef, c_coef)
     if gamma is None:
-        return outcome(0.0, measured(0.0), 0)
-    best_gamma, best_res = gamma, measured(gamma)
-    iterations = 0
-    # Newton polish on the measured functional: the closed form solves
-    # the analytic quadratic, whose coefficients carry summation noise.
-    for _ in range(4):
-        slope = 2.0 * dx * dt * (s_ud + best_gamma * dt * s_dd)
-        if slope == 0.0:
-            break
-        candidate = best_gamma - best_res / slope
-        res = measured(candidate)
-        iterations += 1
-        if abs(res) < abs(best_res):
-            best_gamma, best_res = candidate, res
-        else:
-            break
-    return outcome(best_gamma, best_res, iterations)
-
-
-def _damped_newton(residual, jacobian, gamma, r, norm, max_iterations, damp_below=np.inf):
-    """Damped Newton on ``residual(gamma) -> (r, |r|)``: steps are halved until
-    the norm drops, but only taken in full while it is at least ``damp_below``.
-    Returns the best (gamma, r, norm) and the number of iterations."""
-    iterations = 0
-    while iterations < max_iterations and norm > 0.0:
-        iterations += 1
-        jac = jacobian(gamma)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        scale = np.hypot(*jac[0]) * np.hypot(*jac[1])
-        if abs(det) <= 1e-14 * scale or scale == 0.0:
-            break  # directions are (numerically) parallel in gradient space
-        step = np.linalg.solve(jac, -r)
-        lam = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS if norm < damp_below else 1):
-            candidate = gamma + lam * step
-            r_new, norm_new = residual(candidate)
-            if norm_new < norm:
-                gamma, r, norm = candidate, r_new, norm_new
-                break
-            lam *= 0.5
-        else:
-            break
-    return gamma, r, norm, iterations
+        gamma = 0.0
+    r = abs(inv.evaluate(un.with_u(_relaxed_vector(inc, dt, gamma))) - target)
+    return RelaxationOutcome(gamma, 0.0, r, (r,), 0, r < CONSERVATION_TOL)
 
 
 def relax_multi(
@@ -272,11 +225,11 @@ def relax_multi(
 
     Each functional's ``restrict`` gives its change along u_next + g1*A + g2*B
     (A = dt*d1, B = dt*d_im) as an exact polynomial; with the measured
-    residual at (0, 0) as constant term, damped Newton runs on that model
-    from (0, 0).  At most _POLISH_STEPS corrections with the model Jacobian
-    then polish its best point against the measured functionals, and the
-    point with the smallest measured residual is returned.  A singular
-    Jacobian or stalled iteration yields a non-converged outcome for
+    residual at (0, 0) as constant term, plain Newton runs on that model
+    from (0, 0) while the model residual drops.  The functionals are then
+    measured once more, at the Newton point, and whichever of (0, 0) and
+    that point has the smaller measured residual is returned.  Parallel
+    gradients or a stalled iteration yield a non-converged outcome for
     step-halving fallback.  Increments without d_im are refused.
     """
     if inc.d_im is None:
@@ -307,16 +260,22 @@ def relax_multi(
         p1, p2 = g[0] ** _POWERS, g[1] ** _POWERS
         return np.column_stack([by_g1 @ p2 @ p1[:4], by_g2 @ p2[:4] @ p1])
 
-    gamma, _, _, iterations = _damped_newton(
-        model, jacobian, best_gamma, best_r, best_norm, _MAX_NEWTON_ITERATIONS
-    )
+    gamma, r, norm = best_gamma, best_r, best_norm
+    iterations = 0
+    while iterations < _MAX_NEWTON_ITERATIONS and norm > 0.0:
+        iterations += 1
+        jac = jacobian(gamma)
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        scale = np.hypot(*jac[0]) * np.hypot(*jac[1])
+        if abs(det) <= 1e-14 * scale or scale == 0.0:
+            break  # directions are (numerically) parallel in gradient space
+        candidate = gamma + np.linalg.solve(jac, -r)
+        r_new, norm_new = model(candidate)
+        if not norm_new < norm:
+            break
+        gamma, r, norm = candidate, r_new, norm_new
     if gamma.any():
-        # Full steps only above the tolerance: an attempt without a nearby
-        # root then costs a single extra evaluation.
-        gamma, r, norm, polished = _damped_newton(
-            measured, jacobian, gamma, *measured(gamma), _POLISH_STEPS, CONSERVATION_TOL
-        )
-        iterations += polished
+        r, norm = measured(gamma)
         if norm < best_norm:
             best_gamma, best_r, best_norm = gamma, r, norm
     return RelaxationOutcome(
