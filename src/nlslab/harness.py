@@ -127,8 +127,12 @@ def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+        value = float(num) / float(den)
+    else:
+        value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -268,6 +272,8 @@ def _grid_for(cfg: ExperimentConfig, problem: Problem) -> Grid:
     if cfg.m is not None:
         m = cfg.m
     elif cfg.dx is not None:
+        if not cfg.dx > 0:
+            raise ConfigurationError(f"dx must be positive, got {cfg.dx}")
         m = round(length / cfg.dx)
         if abs(m * cfg.dx - length) > 1e-9 * length:
             raise ConfigurationError(f"dx={cfg.dx} does not divide the domain length")
@@ -422,16 +428,13 @@ def _loglog_slope(points) -> float:
 
 
 class ErrorSampler:
-    """Observer collecting (t, error vs oracle) at accepted steps, thinned.
+    """Observer collecting (t, error vs oracle) at every ``stride``-th
+    accepted step, scored as the step arrives.
 
-    It keeps every ``stride``-th accepted step and the newest one.  Past
-    ``max_samples`` rows the stride doubles, which drops every other kept
-    row, so the rows stay evenly spread over the run's steps.  A state that
-    arrives on the stride is scored at once; one off it is held unscored,
-    and ``error_of`` runs on it only if ``rows`` is read before the next
-    state replaces it.  (Holding every newest state instead kept one more
-    state vector alive per step, which doubled the minor page faults of a
-    2-soliton growth call at m=4480.)
+    A step that arrives with ``max_samples`` rows kept first doubles the
+    stride, which drops every other kept row, so the rows stay evenly spread
+    over the run's steps.  :meth:`rows_to` closes the table with the run's
+    final state.
     """
 
     def __init__(self, error_of, max_samples: int):
@@ -440,30 +443,22 @@ class ErrorSampler:
         self.stride = 1
         self._steps = 0
         self._kept: list[tuple[int, tuple[float, float]]] = []  # (accepted step number, row)
-        self._pending: GridState | None = None  # the newest state, until scored
-        self._newest: tuple[float, float] | None = None  # its row, once scored
-
-    def _newest_row(self) -> tuple[float, float]:
-        if self._pending is not None:
-            self._newest = (self._pending.t, self.error_of(self._pending))
-            self._pending = None
-        return self._newest
-
-    @property
-    def rows(self) -> list[tuple[float, float]]:
-        rows = [row for _, row in self._kept]
-        return rows + [self._newest_row()] if self._steps else rows
 
     def __call__(self, state: GridState) -> None:
-        if self._steps and self._steps % self.stride == 0:
-            self._kept.append((self._steps, self._newest_row()))
-        self._steps += 1
-        self._pending = state
         while len(self._kept) >= self.max_samples:
             self.stride *= 2
             self._kept = [kept for kept in self._kept if kept[0] % self.stride == 0]
+        self._steps += 1
         if self._steps % self.stride == 0:
-            self._newest_row()
+            self._kept.append((self._steps, (state.t, self.error_of(state))))
+
+    def rows_to(self, final: GridState) -> list[tuple[float, float]]:
+        """The kept rows, ending with ``final``, the run's last state, which
+        is scored here unless its step is the last kept one."""
+        rows = [row for _, row in self._kept]
+        if not self._kept or self._kept[-1][0] != self._steps:
+            rows.append((final.t, self.error_of(final)))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +589,8 @@ def run_invariant_table(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_error_growth(cfg: ExperimentConfig) -> ScenarioResult:
-    """Error against the exact soliton over time, with a fitted growth rate."""
+    """Error against the exact soliton over time, with a fitted growth rate;
+    the sampled rows end with the final state that ``run_method`` returns."""
     if cfg.is_semiclassical:
         raise ConfigurationError(
             "error_growth scenario scores against the exact soliton; it takes no 'eps' key"
@@ -607,15 +603,15 @@ def run_error_growth(cfg: ExperimentConfig) -> ScenarioResult:
         def run():
             sampler = ErrorSampler(functools.partial(_soliton_error, cfg), cfg.samples)
             dt = _growth_default_dt(cfg, method)
-            _, record = run_method(method, problem, grid, s0, dt, T, cfg, observer=sampler)
-            if sampler.rows:
-                record.final_error = sampler.rows[-1][1]
+            state, record = run_method(method, problem, grid, s0, dt, T, cfg, observer=sampler)
+            rows = sampler.rows_to(state)
+            record.final_error = rows[-1][1]
             result.records[method.label] = record
             try:
-                exponent = fit_growth_exponent(sampler.rows, (cfg.fit_t_min, cfg.fit_t_max))
+                exponent = fit_growth_exponent(rows, (cfg.fit_t_min, cfg.fit_t_max))
             except FitError:
                 exponent = _NAN
-            for t, err in sampler.rows:
+            for t, err in rows:
                 result.rows.append([method.label, t, err, exponent, ""])
 
         _guarded(result, [method.label, _NAN, _NAN, _NAN], run)
@@ -632,6 +628,10 @@ def run_semiclassical(cfg: ExperimentConfig) -> ScenarioResult:
     """Density profiles at requested times plus an error/runtime table."""
     if not cfg.is_semiclassical:
         raise ConfigurationError("semiclassical scenario requires the 'eps' key")
+    if cfg.T is not None:
+        raise ConfigurationError(
+            "semiclassical scenario stops at the 't_out' times; it takes no 'T' key"
+        )
     problem, grid, s0 = _setup(cfg)
     if cfg.t_out:
         t_out = cfg.t_out

@@ -98,6 +98,8 @@ class RelaxationOutcome:
 
 #: Factor on the raw step-size proposal, so a step at eps = 1 shrinks.
 SAFETY = 0.9
+#: Cap on the ratio of a proposed step size to the last one.
+MAX_GROWTH = 5.0
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ class ControllerConfig:
 
     tol: float = 1e-4
     embedded_order: int = 3
-    max_growth: float = 5.0
     dt_min: float | None = None
 
     def __post_init__(self):
@@ -142,15 +143,15 @@ def propose_step(eps: float, dt: float, cfg: ControllerConfig) -> float:
     """New step size from the error estimate; growth is capped.
 
     The raw rule is SAFETY * (1/eps)^(1/(q+1)) * dt with q the embedded
-    order.  eps = 0 (or eps below the cap threshold) maps to max_growth*dt,
+    order.  eps = 0 (or eps below the cap threshold) maps to MAX_GROWTH*dt,
     since the raw rule is unbounded there.
     """
     if not eps >= 0:
         raise ConfigurationError(f"error estimate must be nonnegative, got {eps}")
     if eps == 0.0:
-        return cfg.max_growth * dt
+        return MAX_GROWTH * dt
     factor = SAFETY * (1.0 / eps) ** (1.0 / (cfg.embedded_order + 1))
-    return min(factor, cfg.max_growth) * dt
+    return min(factor, MAX_GROWTH) * dt
 
 
 def _smallest_magnitude_root(a: float, b: float, c: float) -> float | None:
@@ -362,6 +363,8 @@ def _integrate(
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not math.isfinite(T):
+        raise ConfigurationError(f"final time must be finite, got {T}")
     if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
     invariants = list(invariants or ())

@@ -316,29 +316,44 @@ def test_error_growth_samples_the_last_accepted_step(tmp_path, samples, kept):
     assert result.rows[-1][2] == record.final_error
 
 
+def test_error_growth_of_a_run_without_steps_scores_its_initial_state(tmp_path):
+    # T=0 takes no step: the method keeps one row, at t=0, not none
+    cfg = parse_config(
+        "scenario=error_growth, nsolitons=2, m=256, T=0, dt=0.01, methods=SP-ImEx4, "
+        f"out={tmp_path}/g.csv"
+    )
+    result = run_scenario(cfg)
+    [(method, t, err, exponent, diagnosis)] = result.rows
+    assert (method, t, diagnosis) == ("SP-ImEx4", 0.0, "") and math.isnan(exponent)
+    assert err == result.records["SP-ImEx4"].final_error and err < 1e-12
+
+
 def test_error_sampler_keeps_the_newest_row_at_every_thinning():
     for limit in range(1, 12):
         sampler = harness.ErrorSampler(lambda s: s.t, limit)
         for k in range(1, 200):
-            sampler(GridState(make_grid(0, 1, 4), np.zeros(4), t=float(k)))
-            assert sampler.rows[-1] == (k, k) and len(sampler.rows) <= limit
+            state = GridState(make_grid(0, 1, 4), np.zeros(4), t=float(k))
+            sampler(state)
+            rows = sampler.rows_to(state)
+            assert rows[-1] == (k, k) and len(rows) <= limit
             # the rows before the newest are every stride-th step
             on_stride = [float(j) for j in range(sampler.stride, k, sampler.stride)]
-            assert [t for t, _ in sampler.rows[:-1]] == on_stride
+            assert [t for t, _ in rows[:-1]] == on_stride
 
 
 def test_error_sampler_scores_only_the_rows_it_keeps():
     # 2,000 steps into 400 rows keep 250; error_of runs on the 850 states
-    # that were on the stride when they arrived, plus an off-stride newest
-    # state once rows is read, never twice on one state.
+    # that were on the stride when they arrived, plus an off-stride final
+    # state once rows_to scores it, never twice on one state.
     grid = make_grid(0, 1, 4)
     for steps, calls in ((2000, 850), (2001, 851), (134, 134)):
         scored = []
         sampler = harness.ErrorSampler(lambda s: scored.append(s.t) or -s.t, 400)
         for k in range(1, steps + 1):
-            sampler(GridState(grid, np.zeros(4), t=float(k)))
-        rows = sampler.rows
-        assert sampler.rows == rows and len(scored) == len(set(scored)) == calls
+            state = GridState(grid, np.zeros(4), t=float(k))
+            sampler(state)
+        rows = sampler.rows_to(state)
+        assert len(scored) == len(set(scored)) == calls
         assert rows[-1] == (steps, -steps) and all(e == -t for t, e in rows)
 
 
@@ -348,8 +363,9 @@ def test_error_sampler_rows_are_uniform_in_time():
     sampler = harness.ErrorSampler(lambda s: 0.0, 400)
     grid = make_grid(0, 1, 4)
     for k in range(1, 2001):
-        sampler(GridState(grid, np.zeros(4), t=k * 0.01))
-    t = np.array([t for t, _ in sampler.rows])
+        state = GridState(grid, np.zeros(4), t=k * 0.01)
+        sampler(state)
+    t = np.array([t for t, _ in sampler.rows_to(state)])
     edges = np.array([0.0, 2.0, 5.0, 10.0, 15.0, 20.0])
     counts = np.array([np.sum((a < t) & (t <= b)) for a, b in zip(edges, edges[1:])])
     uniform = len(t) * np.diff(edges) / 20.0
@@ -364,7 +380,7 @@ def test_samples_below_one_is_refused_at_parse_time(samples):
 
 
 def test_a_config_built_in_code_refuses_samples_below_one():
-    # the sampler keeps at least the newest row, so it has no cap below one
+    # with a cap below one the sampler's thinning loop would never end
     with pytest.raises(ConfigurationError, match="samples"):
         replace(ExperimentConfig(scenario="error_growth"), samples=0)
 
@@ -646,13 +662,70 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
     assert "energy-conserving" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--T", "1/0"), ("--dt", "abc"), ("--T", "")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--T", "1/0"), ("--dt", "abc"), ("--T", ""), ("--T", "nan"), ("--T", "inf")],
+)
 def test_cli_rejects_bad_number_override(tmp_path, capsys, flag, value):
     from nlslab.cli import main
 
     rc = main(["invariants", flag, value, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"bad value for {flag[2:]!r}" in capsys.readouterr().err
+
+
+def _numeric_keys():
+    """The config keys whose value is a number or a list of numbers."""
+    keys = []
+    for key in harness._KEY_PARSERS:
+        try:
+            _, value = harness.parse_value(key, "1")
+        except ConfigurationError:
+            continue
+        if all(isinstance(v, (int, float)) for v in np.atleast_1d(value).tolist()):
+            keys.append(key)
+    return keys
+
+
+@pytest.mark.parametrize("key", _numeric_keys())
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_every_numeric_key_refuses_a_value_that_is_not_finite(key, text):
+    with pytest.raises(ConfigurationError, match=re.escape(f"bad value for {key!r}: {text!r}")):
+        harness.parse_value(key, text)
+
+
+@pytest.mark.parametrize(
+    "command, document, flags, message",
+    [
+        ("invariants", "scenario=invariant_table, dx=0", [], "dx must be positive, got 0.0"),
+        ("invariants", "scenario=invariant_table, dx=nan", [], "bad value for 'dx': 'nan'"),
+        (
+            "semiclassical",
+            "scenario=semiclassical, method=SP-S2, eps=0.2, dx=1/16, t_out=0.02, dx_ref=0",
+            [],
+            "dx must be positive, got 0",
+        ),
+        (
+            "semiclassical",
+            "scenario=semiclassical, method=SP-S2, eps=0.2, dx=1/16, t_out=0.02",
+            ["--T", "1"],
+            "it takes no 'T' key",
+        ),
+    ],
+    ids=["dx-zero", "dx-nan", "dx_ref-zero", "semiclassical-T"],
+)
+def test_cli_refuses_values_no_run_can_use(tmp_path, capsys, command, document, flags, message):
+    # each exits 2 with one error line and writes nothing, not a traceback
+    # or a table of a run that ignored the value
+    from nlslab.cli import main
+
+    config = tmp_path / "run.cfg"
+    config.write_text(document)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(config), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from helpers import per_term_step
+from nlslab import relaxation
 from nlslab.core import (
     ACCEPTED,
     CONSERVATION_REJECTED,
@@ -128,6 +130,14 @@ def test_fixed_step_non_finite_state_names_its_step():
     assert [row.disposition for row in record.steps[:2]] == [ACCEPTED, EPS_REJECTED]
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_a_final_time_that_is_not_finite_is_refused(T):
+    # a NaN final time would end the loop before its first step and return s0
+    s0 = _toy_state(np.ones(4))
+    with pytest.raises(ConfigurationError, match="final time must be finite"):
+        integrate_imex(s0, lambda u, h: _increments(u, np.zeros(4)), 0.25, T)
+
+
 def test_propose_step_rules():
     cfg = ControllerConfig(embedded_order=3)
     assert propose_step(1.0, 0.2, cfg) == pytest.approx(0.9 * 0.2, rel=1e-15)
@@ -150,11 +160,12 @@ _EPS = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
     growth=st.floats(1.0, 10.0),
 )
 def test_propose_step_monotone_in_eps_and_capped(eps, other, dt, order, growth):
-    cfg = ControllerConfig(embedded_order=order, max_growth=growth)
+    cfg = ControllerConfig(embedded_order=order)
     small, large = sorted((eps, other))
-    assert propose_step(large, dt, cfg) <= propose_step(small, dt, cfg)
-    assert propose_step(small, dt, cfg) <= growth * dt
-    assert propose_step(1.0, dt, cfg) == SAFETY * dt  # at eps = 1, safety times dt
+    with mock.patch.object(relaxation, "MAX_GROWTH", growth):
+        assert propose_step(large, dt, cfg) <= propose_step(small, dt, cfg)
+        assert propose_step(small, dt, cfg) <= growth * dt
+        assert propose_step(1.0, dt, cfg) == SAFETY * dt  # at eps = 1, safety times dt
 
 
 def _toy_state(values, length=4.0):

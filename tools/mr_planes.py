@@ -126,8 +126,10 @@ def main() -> None:
 
     def growth(stepper, T):
         sampler = ErrorSampler(error, 400)
-        _, record = adaptive_integrate(s0, stepper, controller, T, 0.01, invariants, 2, sampler)
-        return record, sampler.rows
+        final, record = adaptive_integrate(
+            s0, stepper, controller, T, 0.01, invariants, 2, sampler
+        )
+        return record, sampler.rows_to(final)
 
     def gamma_size(stepper, advance, dt):
         _, record = integrate_imex(s0, stepper, dt, 4.0, invariants, 2)
@@ -157,9 +159,10 @@ def main() -> None:
     assert np.array_equal(ours.u, shipped.u) and ours_record.steps == shipped_record.steps
 
     sampler = ErrorSampler(error, 400)
-    run_method(parse_method("FEM-ImEx4"), problem, grid, s0, 0.01, 20.0, cfg, sampler)
-    plain = fit_growth_exponent(sampler.rows, (2.0, 15.0))
-    plain_max = max(e for _, e in sampler.rows)
+    final, _ = run_method(parse_method("FEM-ImEx4"), problem, grid, s0, 0.01, 20.0, cfg, sampler)
+    plain_rows = sampler.rows_to(final)
+    plain = fit_growth_exponent(plain_rows, (2.0, 15.0))
+    plain_max = max(e for _, e in plain_rows)
 
     header = ["plane", "advance"] + [f"med|g| dt={dt:g}" for dt in FIXED_DTS]
     header += ["T=4 calls", "T=4 rejected", "T=20 exponent", "T=20 max err"]
