@@ -14,12 +14,14 @@ its remainder, settles almost every sum; more rounds run only near a
 rounding tie, under heavy cancellation, or at magnitudes near underflow.
 
 Every transform goes through :func:`dft_forward` and :func:`dft_inverse`.
-They call ``scipy.fftpack``'s ``fft``/``ifft``, imported on the first
-transform so that importing nlslab loads no scipy, on the complex128 cast of
-their input.  That is the pocketfft complex transform of ``scipy.fft``
-without its backend dispatch, which costs about 1.3 us a call at small m.
-The result is bitwise ``numpy.fft``'s (numpy >= 2.0 and scipy share the C++
-pocketfft), in less time; a test pins the equality.
+They call ``c2c`` of ``scipy.fft._pocketfft.pypocketfft``, the compiled
+pocketfft binding that ``scipy.fftpack.fft`` and ``scipy.fft.fft`` end in,
+on the complex128 cast of their input.  It is bound on the first transform,
+so that importing nlslab loads no scipy.  Calling it directly skips
+scipy's Python argument handling, about 1.7 us a call, and gives the same
+result, bitwise ``numpy.fft``'s (numpy >= 2.0 and scipy share the C++
+pocketfft).  The binding lives in an underscore module; tests pin its
+location and the bitwise equality.
 """
 
 from __future__ import annotations
@@ -220,42 +222,56 @@ def from_real_pairs(z: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _fft_backend():
-    """The ``scipy.fftpack`` module, imported on the first transform only.
+    """pocketfft's compiled complex transform, bound on the first transform.
 
-    Importing it when nlslab is imported would load scipy into every CLI
-    start-up, including the runs that never transform a vector.
+    ``c2c(a, axes, forward, inorm, out, nthreads)`` of the pybind11 module
+    ``scipy.fft._pocketfft.pypocketfft``: the call that ``scipy.fftpack.fft``
+    and ``scipy.fft.fft`` make after their Python argument handling, which
+    costs about 1.7 us a call, a sixth of a transform at m=1024.  The
+    module is private to scipy, so a scipy release may move or change it;
+    the DFT tests fail if it does.  Importing it when nlslab is imported
+    would load scipy into every CLI start-up, including the runs that never
+    transform a vector.
     """
-    import scipy.fftpack
+    from scipy.fft._pocketfft.pypocketfft import c2c
 
-    return scipy.fftpack
+    return c2c
 
 
 def _dft_operand(u: np.ndarray) -> np.ndarray:
-    # Real input goes through the complex transform: scipy's real-input
-    # path rounds differently from numpy.fft.fft.
+    """The complex128, 1-D, native-order, aligned vector the binding takes:
+    ``u`` itself when it already is one, else a copy.
+
+    Real input goes through the complex transform, since pocketfft's
+    real-input path rounds differently from ``numpy.fft.fft``; the cast
+    also gives native byte order, which the binding requires.
+    """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 1 or u.shape[0] == 0:
         raise DimensionMismatchError("DFT input must be a nonempty 1-D vector")
+    if not u.flags.aligned:
+        u = u.copy()
     return u
 
 
 def dft_forward(u: np.ndarray) -> np.ndarray:
     """Forward DFT.  Unnormalized; pairs with :func:`dft_inverse`.
 
-    Computed by ``scipy.fftpack.fft`` on the complex128 cast of ``u``: the
-    pocketfft transform of ``scipy.fft.fft`` without its backend dispatch,
-    bitwise ``numpy.fft.fft(u)`` (numpy >= 2.0 ships the same pocketfft) and
-    faster.
+    A fresh array from pocketfft's compiled ``c2c`` (see
+    :func:`_fft_backend`) on the complex128 cast of ``u``, with no
+    normalization: bitwise ``numpy.fft.fft(u)``, since numpy >= 2.0 ships
+    the same pocketfft, and faster.  ``u`` is left unmodified.
     """
-    return _fft_backend().fft(_dft_operand(u))
+    return _fft_backend()(_dft_operand(u), (0,), True, 0, None, 1)
 
 
 def dft_inverse(uhat: np.ndarray) -> np.ndarray:
     """Inverse DFT; ``dft_inverse(dft_forward(u)) == u`` to rounding.
 
-    Bitwise ``numpy.fft.ifft(uhat)``, computed like :func:`dft_forward`.
+    Computed like :func:`dft_forward`, scaled by 1/n inside the binding
+    (normalization mode 2): bitwise ``numpy.fft.ifft(uhat)``.
     """
-    return _fft_backend().ifft(_dft_operand(uhat))
+    return _fft_backend()(_dft_operand(uhat), (0,), False, 2, None, 1)
 
 
 def discrete_mass(s: GridState, weight=1.0) -> float:

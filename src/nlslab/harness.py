@@ -49,6 +49,7 @@ from .imexrk import tableau
 from .relaxation import (
     ControllerConfig,
     adaptive_integrate,
+    check_fixed_step,
     integrate_imex,
     landing_tolerance,
     make_imex_stepper,
@@ -516,6 +517,11 @@ def _dt_sweep(cfg: ExperimentConfig, fourth: str, T: float) -> ScenarioResult:
     problem, grid, s0 = _setup(cfg)
     timed = fourth == "runtime"
     dts = cfg.dts or ((cfg.dt,) if cfg.dt is not None else _DEFAULT_DTS)
+    for dt in dts:
+        # A positive step too small to finish is refused before any run;
+        # dt <= 0 fails its own run, as a failed row.
+        if dt > 0:
+            check_fixed_step(dt, T)
     if cfg.is_semiclassical:
         error_of = SemiclassicalReference(cfg, problem).error
     else:

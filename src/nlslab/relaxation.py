@@ -317,6 +317,16 @@ def landing_tolerance(T: float) -> float:
     return _LANDING_REL_TOL * max(1.0, abs(T))
 
 
+def check_fixed_step(dt: float, T: float) -> None:
+    """Refuse a fixed step below ``landing_tolerance(T)``: the run would take
+    about T/dt steps, unbounded as dt approaches 0."""
+    tiny = landing_tolerance(T)
+    if dt < tiny:
+        raise ConfigurationError(
+            f"fixed step dt={dt!r} is below the landing tolerance {tiny!r} of T={T!r}"
+        )
+
+
 def _finite(u: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(u.view(np.float64))))
 
@@ -367,6 +377,8 @@ def _integrate(
         raise ConfigurationError(f"final time must be finite, got {T}")
     if T < s0.t:
         raise ConfigurationError(f"final time {T} does not follow start time {s0.t}")
+    if controller is None:
+        check_fixed_step(dt, T)
     invariants = list(invariants or ())
     kinds = [f.kind for f in invariants]
     if relax not in (0, 1, 2) or relax > len(kinds) or (relax == 1 and kinds[0] != "mass"):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,21 +231,71 @@ def test_dft_rejects_empty_and_multidimensional_input():
         dft_inverse(np.ones((4, 4), dtype=complex))
 
 
-# The workload and reference sizes (512 to 8192), primes and odd composites.
-@pytest.mark.parametrize("m", [1, 2, 7, 97, 512, 1000, 1120, 2048, 4096, 4097, 4480, 8192])
-@pytest.mark.parametrize("kind", ["complex", "real"])
-def test_dft_is_bitwise_numpy_fft(m, kind):
-    # scipy.fftpack's fft/ifft behind the helpers (the pocketfft transform of
-    # scipy.fft without its dispatch) must round exactly like numpy.fft, so
-    # that a library update that diverges fails here instead of moving outputs.
+def _dft_input(kind: str, m: int) -> np.ndarray:
+    """A length-m vector of one dtype or memory layout."""
     rng = np.random.default_rng(m)
     u = rng.standard_normal(m)
-    if kind == "complex":
-        u = u + 1j * rng.standard_normal(m)
+    if kind == "real":
+        return u
+    if kind == "float32":
+        return u.astype(np.float32)
+    u = u + 1j * rng.standard_normal(m)
+    if kind == "strided":
+        return np.repeat(u, 2)[::2]
+    if kind == "read-only":
+        u.setflags(write=False)
+    elif kind == "big-endian":
+        u = u.astype(">c16")
+    elif kind == "unaligned":
+        buffer = np.zeros(16 * m + 1, dtype=np.uint8)
+        view = buffer[1:].view(np.complex128)
+        view[:] = u
+        assert not view.flags.aligned
+        return view
+    return u
+
+
+# The workload and reference sizes (512 to 8192), primes and odd composites.
+@pytest.mark.parametrize("m", [1, 2, 7, 97, 512, 1000, 1120, 2048, 4096, 4097, 4480, 8192])
+@pytest.mark.parametrize(
+    "kind", ["complex", "real", "strided", "read-only", "big-endian", "unaligned", "float32"]
+)
+def test_dft_is_bitwise_numpy_fft(m, kind):
+    # pocketfft's compiled c2c behind the helpers, called without scipy's
+    # Python wrappers from scipy's private pypocketfft module, must round
+    # exactly like numpy.fft, so that a scipy or numpy update that diverges,
+    # or moves the binding, fails here instead of moving outputs.  The
+    # binding takes any complex128 vector that is aligned and in native byte
+    # order, a strided view too; every other input is copied first, and no
+    # input is written to.
+    from nlslab.core import _dft_operand
+
+    u = _dft_input(kind, m)
+    before = u.tobytes()
+    assert (_dft_operand(u) is u) == (kind in ("complex", "strided", "read-only"))
+    # numpy transforms float32 in single precision, ours its complex128 cast
+    reference = u.astype(np.complex128) if kind == "float32" else u
     for ours, numpys in ((dft_forward, np.fft.fft), (dft_inverse, np.fft.ifft)):
         out = ours(u)
-        assert out.dtype == np.complex128
-        assert np.array_equal(out.view(np.float64), numpys(u).view(np.float64))
+        assert out.dtype == np.complex128 and not np.shares_memory(out, u)
+        assert np.array_equal(out.view(np.float64), numpys(reference).view(np.float64))
+    assert u.tobytes() == before
+
+
+def test_first_transform_imports_no_scipy_fftpack():
+    # the transform binds pocketfft's compiled c2c, not scipy.fftpack
+    code = (
+        "import sys, numpy, nlslab.core; nlslab.core.dft_forward(numpy.ones(8)); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.fftpack')), "
+        "'scipy.fft._pocketfft.pypocketfft' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[] True"
 
 
 # exact_sum / exact_dot against math.fsum, the exactly rounded reference.

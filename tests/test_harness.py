@@ -828,6 +828,41 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _cli_within_a_minute(cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    # a run that never ends fails the test by the timeout, not by hanging it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "nlslab.cli", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_cli_refuses_a_fixed_step_below_the_landing_tolerance(tmp_path):
+    # about 1e298 steps: refused before the first, with nothing written
+    argv = ["convergence", "--method", "SP-S2", "--m", "64", "--dt", "1e-300", "--T", "0.01"]
+    proc = _cli_within_a_minute(tmp_path, argv)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: fixed step dt=1e-300 is below the landing tolerance 1e-12 of T=0.01"
+    ]
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_a_reference_step_below_the_landing_tolerance_fails_the_scored_runs(tmp_path):
+    # the reference integrates on demand, inside each run: its refusal is
+    # each run's failed row, not a reference that never finishes
+    (tmp_path / "c.cfg").write_text(
+        "scenario=convergence, method=SP-S2, eps=0.2, dx=1/16, T=0.1, dts=1/20 1/40, "
+        "dt_ref=1e-300, out=c.csv"
+    )
+    proc = _cli_within_a_minute(tmp_path, ["convergence", "--config", "c.cfg"])
+    assert proc.returncode == 0
+    message = "fixed step dt=1e-300 is below the landing tolerance 1e-12 of T=0.1"
+    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [message, message]
+
+
 def test_semiclassical_desk_scale_default(tmp_path):
     base = (
         "scenario=semiclassical, method=SP-S2, eps=0.05, dx=1/16, dt=1/50, "

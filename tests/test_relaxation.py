@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_a_final_time_that_is_not_finite_is_refused(T):
     s0 = _toy_state(np.ones(4))
     with pytest.raises(ConfigurationError, match="final time must be finite"):
         integrate_imex(s0, lambda u, h: _increments(u, np.zeros(4)), 0.25, T)
+
+
+def test_a_fixed_step_below_the_landing_tolerance_is_refused():
+    # such a step would take about T/dt steps: it is refused before the first
+    s0 = _toy_state(np.ones(4))
+
+    def never_called(u, h):
+        raise AssertionError("stepped")
+
+    with pytest.raises(ConfigurationError, match=re.escape("dt=1e-300") + ".*1e-12 of T=0.5"):
+        integrate_imex(s0, never_called, 1e-300, 0.5)
+    # the tolerance itself is a step the loop takes
+    _, record = integrate_imex(s0, lambda u, h: _increments(u, np.zeros(4)), 1e-12, 3e-12)
+    assert 2 <= len(record.steps) <= 3
 
 
 def test_propose_step_rules():

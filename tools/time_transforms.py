@@ -10,10 +10,14 @@ through ``PYTHONPATH``:
 Settings and timing loop are those of ``tools/time_exact_sum.py``: numerics
 single-threaded, glibc's mmap threshold fixed as in ``bench/run.py``, and each
 figure the best over 9 repeats of the mean over a batch of calls sized to
-last about 0.05 s.  Per grid size m = 512, 1120, 4096, 4480 on [-8, 8]:
+last about 0.05 s.  Per grid size m = 512, 1024, 1120, 4096, 4480 on [-8, 8]
+(1024 is the default semiclassical reference mesh):
 
 * ``dft``: ``dft_forward`` then ``dft_inverse`` of a standard normal complex
-  vector (one round trip);
+  vector (one round trip), through whatever transform entry the measured
+  checkout's ``nlslab.core`` calls (pocketfft's compiled ``c2c`` of
+  ``scipy.fft._pocketfft.pypocketfft``, or ``scipy.fftpack`` in older
+  checkouts);
 * ``flow``: ``SpectralOperator.flow`` of the dispersion operator at a = 0.1
   (semiclassical eps = 0.2) over one memoised step;
 * ``nl_gauss``: ``nonlinear_flow`` of the Gaussian-tail state exp(-x^2) at
@@ -25,7 +29,7 @@ last about 0.05 s.  Per grid size m = 512, 1120, 4096, 4480 on [-8, 8]:
 A second table times the step path, one row per call:
 
 * ``dft_forward m=16``: the transform entry on a vector so short that the
-  figure is its call overhead;
+  figure is its call overhead, nlslab's and the binding's together;
 * ``ImEx4 <symbol> m=<m>``: one ImEx4 step of the two-soliton state on
   [-35, 35] at dt = 0.01 by a ``make_imex_stepper`` stepper, as runs take
   it, with the pseudospectral or the finite-element symbol, at m = 1120
@@ -51,7 +55,7 @@ from pathlib import Path
 
 from time_exact_sum import REPEATS, _bench_settings, per_call_us
 
-SIZES = (512, 1120, 4096, 4480)
+SIZES = (512, 1024, 1120, 4096, 4480)
 A, B, DT = 0.1, 5.0, 0.86 / 2000
 FAULT_CALLS = 20
 
